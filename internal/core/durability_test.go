@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"checkmate/internal/chaos"
 	"checkmate/internal/metrics"
 	"checkmate/internal/objstore"
 	"checkmate/internal/wal"
@@ -48,16 +49,33 @@ func TestCrashRecoveryDurable(t *testing.T) {
 		records = 8000
 		rate    = 20000
 	)
-	for _, p := range []Protocol{
-		nullProto{KindCoordinated, "COOR"},
-		nullProto{KindUncoordinated, "UNC"},
-		nullProto{KindCIC, "CIC"},
-	} {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
+	type variant struct {
+		name  string
+		p     Protocol
+		tweak func(*Config)
+	}
+	variants := []variant{
+		{"COOR", nullProto{KindCoordinated, "COOR"}, func(*Config) {}},
+		{"UNC", nullProto{KindUncoordinated, "UNC"}, func(*Config) {}},
+		{"CIC", nullProto{KindCIC, "CIC"}, func(*Config) {}},
+		// Every WAL fsync stalls and the stage is 8 KiB: senders run into
+		// the stage bound and block behind the committer, and the kill
+		// drops whatever is staged at that moment.
+		{"UNC-fsync-stall", nullProto{KindUncoordinated, "UNC"}, func(c *Config) {
+			c.Durability.MaxSegmentBytes = 8 << 10
+			c.Chaos = chaos.NewInjector(chaos.Plan{
+				FsyncStall:    []chaos.Window{{At: 0, For: time.Hour}},
+				StallDuration: 2 * time.Millisecond,
+			})
+		}},
+	}
+	for _, v := range variants {
+		p := v.p
+		t.Run(v.name, func(t *testing.T) {
 			dir := t.TempDir()
 			env, job := durableEnv(t, dir, workers, records, rate)
 			cfg := durableCfg(env, p, dir)
+			v.tweak(&cfg)
 			eng, err := NewEngine(cfg, job)
 			if err != nil {
 				t.Fatal(err)
@@ -92,6 +110,7 @@ func TestCrashRecoveryDurable(t *testing.T) {
 			env2, job2 := durableEnv(t, dir, workers, records, rate)
 			env2.recorder = metrics.NewRecorder(time.Now(), 30*time.Second, time.Second)
 			cfg2 := durableCfg(env2, p, dir)
+			v.tweak(&cfg2)
 			cfg2.Recorder = env2.recorder
 			cfg2.Broker = env.broker // topic content survives the crash
 			env2.broker = env.broker

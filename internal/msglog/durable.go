@@ -24,31 +24,35 @@ var (
 	_ Backend = (*DurableLog)(nil)
 )
 
-// DurableLog is a message log whose appends are written to a
-// write-ahead log before they are acknowledged, so in-flight channel
-// state survives a process crash. Reads (Range) are served from the
-// in-memory index, which is rebuilt from the WAL segments on restart.
+// DurableLog is a message log whose appends also go to a write-ahead
+// log, so in-flight channel state survives a process crash. Reads
+// (Range) are served from the in-memory index, which is rebuilt from the
+// WAL segments on restart.
 //
-// Under SyncAlways every append blocks on its own fsync — the honest
-// per-commit cost model. Under group commit and interval sync the
-// append path is pipelined: AppendBatch writes the WAL frame
-// asynchronously and returns, and durability is enforced where it is
-// actually needed — Barrier() blocks until everything appended so far
-// is on disk, and the engine calls it before a checkpoint is reported
-// durable. That barrier is what makes the pipelining safe: a message
-// is either covered by the WAL's synced prefix (its sender's
-// checkpoint waited for it) or upstream of the recovery line, in which
-// case its sender re-produces it on replay and receiver-side dedup
-// drops any duplicate.
+// Under SyncAlways every append blocks on an fsync covering it — the
+// honest per-commit cost model. Under group commit and interval sync the
+// append path is pipelined: AppendBatch copies the frame into the WAL's
+// in-memory stage and returns, the WAL's committer writes it later, and
+// durability is enforced where it is actually needed — Barrier() blocks
+// until everything appended so far is on disk, and the engine calls it
+// before a checkpoint is reported durable. That barrier is what makes
+// the pipelining safe: a message is either covered by the WAL's synced
+// prefix (its sender's checkpoint waited for it) or upstream of the
+// recovery line, in which case its sender re-produces it on replay and
+// receiver-side dedup drops any duplicate. A crash therefore leaves a
+// gap-free prefix of the appends that holds at least what a returned
+// Barrier covered; frames past it may be gone, staged ones certainly.
 type DurableLog struct {
 	mem *Log
 	w   *wal.WAL
 	// syncAppends selects the blocking append path (SyncAlways).
 	syncAppends bool
-	// walErrs counts WAL write failures. The in-memory log keeps
-	// working (the run degrades to in-memory durability) and the
-	// incident is visible in Stats rather than taking the data plane
-	// down mid-flush.
+	// walErrs counts WAL failures: appends the WAL refused and barriers
+	// that failed. A write or fsync error happens on the WAL's committer
+	// and is latched there, so every later append and Barrier reports it
+	// here. The in-memory log keeps working (the run degrades to
+	// in-memory durability, and no further checkpoint passes its barrier)
+	// rather than taking the data plane down mid-flush.
 	walErrs atomic.Uint64
 }
 
@@ -81,8 +85,8 @@ func (d *DurableLog) walAppend(r wal.Record) {
 	}
 }
 
-// walAppendAsync writes the frame without waiting for the fsync; the
-// durability barrier is deferred to Barrier().
+// walAppendAsync stages the frame without waiting for its write or fsync;
+// the durability barrier is deferred to Barrier().
 func (d *DurableLog) walAppendAsync(r wal.Record) {
 	if _, err := d.w.AppendAsync(r); err != nil {
 		d.walErrs.Add(1)
@@ -94,9 +98,9 @@ func (d *DurableLog) Append(ch uint64, seq uint64, data []byte) {
 	d.AppendBatch(ch, seq, 1, data)
 }
 
-// AppendBatch writes the frame to the WAL and then to the in-memory
-// index. SyncAlways blocks until the frame's own fsync lands; group
-// commit and interval sync return once the frame is written and leave
+// AppendBatch hands the frame to the WAL and then to the in-memory
+// index. SyncAlways blocks until an fsync covers the frame; group
+// commit and interval sync return once the frame is staged and leave
 // durability to the next Barrier(). The caller keeps ownership of
 // data, same as Log.AppendBatch.
 func (d *DurableLog) AppendBatch(ch uint64, firstSeq uint64, count int, data []byte) {
@@ -115,7 +119,13 @@ func (d *DurableLog) LastLSN() uint64 { return d.w.LastLSN() }
 
 // Barrier blocks until the WAL is durable through lsn — the
 // log-before-checkpoint barrier the pipelined append path relies on.
-func (d *DurableLog) Barrier(lsn uint64) error { return d.w.WaitSynced(lsn) }
+func (d *DurableLog) Barrier(lsn uint64) error {
+	err := d.w.WaitSynced(lsn)
+	if err != nil {
+		d.walErrs.Add(1)
+	}
+	return err
+}
 
 // Range reads from the in-memory index.
 func (d *DurableLog) Range(ch uint64, fromExcl, toIncl uint64) []Entry {
@@ -123,7 +133,10 @@ func (d *DurableLog) Range(ch uint64, fromExcl, toIncl uint64) []Entry {
 }
 
 // Trim advances the durable trim frontier (whole segments below it are
-// deleted) and trims the in-memory index.
+// deleted) and trims the in-memory index. It does not wait for the trim
+// record to be durable: losing one to a crash is benign (the recovered
+// log retains more than it needs), and the coordinator trims every
+// channel in turn each time the recovery line advances.
 func (d *DurableLog) Trim(ch uint64, seq uint64) {
 	if err := d.w.Trim(ch, seq); err != nil {
 		d.walErrs.Add(1)

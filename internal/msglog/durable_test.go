@@ -3,6 +3,7 @@ package msglog
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"checkmate/internal/wal"
@@ -90,10 +91,13 @@ func TestDurableLogRecoversTrims(t *testing.T) {
 func TestDurableLogCrashKeepsAcknowledged(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurableT(t, dir)
-	// Group commit: AppendBatch returns only after the WAL fsync, so a
-	// crash immediately after must preserve every acknowledged frame.
+	// Group commit: AppendBatch only stages the frame; what a returned
+	// Barrier covered is what a crash must preserve.
 	for i := 0; i < 10; i++ {
 		d.AppendBatch(3, uint64(i)+1, 1, frame(uint64(i)+1, 1))
+	}
+	if err := d.Barrier(d.LastLSN()); err != nil {
+		t.Fatal(err)
 	}
 	d.CrashClose()
 
@@ -101,6 +105,71 @@ func TestDurableLogCrashKeepsAcknowledged(t *testing.T) {
 	defer d2.Close()
 	if got := d2.Range(3, 0, 100); len(got) != 10 {
 		t.Fatalf("crash lost acknowledged frames: got %d, want 10", len(got))
+	}
+}
+
+// The converse: with no barrier a crash may lose frames (how many depends
+// on how far the committer got), but what survives is a contiguous prefix
+// of every channel.
+func TestDurableLogCrashWithoutBarrierKeepsPrefix(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurableT(t, dir)
+	// 4.5 KB frames: the stage passes its flush threshold several times,
+	// so the committer has written some of them when the crash comes.
+	const channels, perCh = 3, 100
+	pad := bytes.Repeat([]byte{'\n'}, 4500)
+	for i := 0; i < perCh; i++ {
+		for ch := uint64(1); ch <= channels; ch++ {
+			d.AppendBatch(ch, uint64(i)+1, 1, append(frame(uint64(i)+1, 1), pad...))
+		}
+	}
+	d.CrashClose()
+
+	d2 := openDurableT(t, dir)
+	defer d2.Close()
+	total := 0
+	for ch := uint64(1); ch <= channels; ch++ {
+		for i, e := range d2.Range(ch, 0, 1<<62) {
+			if e.Seq != uint64(i)+1 {
+				t.Fatalf("channel %d: entry %d has seq %d: the recovered log has a gap", ch, i, e.Seq)
+			}
+			total++
+		}
+	}
+	t.Logf("recovered %d of %d frames", total, channels*perCh)
+}
+
+// A WAL failure after Open happens on the WAL's committer. It must fail
+// the barrier (so the checkpoint is not reported) and show in Stats.
+func TestDurableLogWALFailureIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, wal.Options{Policy: wal.SyncGroup, MaxSegmentSize: 256}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Append(1, 1, []byte("before"))
+	if err := d.Barrier(d.LastLSN()); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.WALErrors != 0 {
+		t.Fatalf("WALErrors = %d before any failure", st.WALErrors)
+	}
+	// With the directory gone the next rotation cannot open its segment.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(2); seq <= 10; seq++ {
+		d.Append(1, seq, bytes.Repeat([]byte("x"), 100))
+	}
+	if err := d.Barrier(d.LastLSN()); err == nil {
+		t.Fatal("Barrier succeeded over a WAL that could not rotate")
+	}
+	if st := d.Stats(); st.WALErrors == 0 {
+		t.Fatal("the WAL failure is not visible in Stats")
+	}
+	if got := d.Range(1, 0, 100); len(got) != 10 {
+		t.Fatalf("the in-memory log stopped working: %d entries", len(got))
 	}
 }
 

@@ -47,9 +47,39 @@ type Slicer func(data []byte, fromSeq, toSeq uint64) ([]byte, int, error)
 // sequence order; trimming removes a prefix.
 type channelLog struct {
 	mu      sync.Mutex
-	base    uint64 // sequence number of entries[0]; seq numbering starts at 1
 	entries []Entry
 	bytes   uint64
+	// arena is the chunk the next owning copies are cut from. Entries are
+	// sub-slices of their chunk; nothing else refers to a chunk, so the GC
+	// frees it when its last entry is trimmed.
+	arena []byte
+}
+
+// Arena chunks start small, so that a channel carrying a few frames does
+// not pin a full chunk, and double up to arenaChunk.
+const (
+	arenaChunk    = 256 << 10
+	arenaChunkMin = 8 << 10
+)
+
+// own returns a copy of data that lives as long as its entry. Called
+// with cl.mu held.
+func (cl *channelLog) own(data []byte) []byte {
+	if len(data) > cap(cl.arena)-len(cl.arena) {
+		if len(data) > arenaChunk/4 {
+			// Would waste most of a chunk: a copy of its own.
+			cp := make([]byte, len(data))
+			copy(cp, data)
+			return cp
+		}
+		size := min(max(2*cap(cl.arena), arenaChunkMin, len(data)), arenaChunk)
+		cl.arena = make([]byte, 0, size)
+	}
+	at := len(cl.arena)
+	cl.arena = append(cl.arena, data...)
+	// Capacity stops at the entry's end: a holder that appends to Data
+	// reallocates instead of writing into the next entry.
+	return cl.arena[at:len(cl.arena):len(cl.arena)]
 }
 
 // logShards stripes the channel→log map: every worker's sender goroutine
@@ -116,7 +146,7 @@ func (l *Log) channel(ch uint64) *channelLog {
 	if cl, ok = s.channels[ch]; ok {
 		return cl
 	}
-	cl = &channelLog{base: 1}
+	cl = &channelLog{}
 	s.channels[ch] = cl
 	return cl
 }
@@ -141,21 +171,19 @@ func (l *Log) Append(ch uint64, seq uint64, data []byte) {
 // require the log to have a Slicer, otherwise trim and replay boundaries
 // could not be honored record-granularly.
 //
-// Ownership: AppendBatch takes an owning copy of data. The engine's wire
-// frames are pooled and recycled (scribbled, under the poison debug mode)
-// once delivered, while log entries must survive until trimmed — so the
-// copy here is the log's side of the frame ownership rule, and the caller
-// keeps ownership of data.
+// Ownership: AppendBatch takes an owning copy of data, cut from the
+// channel's arena. The engine's wire frames are pooled and recycled
+// (scribbled, under the poison debug mode) once delivered, while log
+// entries must survive until trimmed — so the copy here is the log's side
+// of the frame ownership rule, and the caller keeps ownership of data.
 func (l *Log) AppendBatch(ch uint64, firstSeq uint64, count int, data []byte) {
 	if count > 1 && l.slicer == nil {
 		panic("msglog: batched append on a log without a slicer")
 	}
 	cl := l.channel(ch)
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	cl.mu.Lock()
-	cl.entries = append(cl.entries, Entry{Seq: firstSeq, Count: count, Data: cp})
-	cl.bytes += uint64(len(cp))
+	cl.entries = append(cl.entries, Entry{Seq: firstSeq, Count: count, Data: cl.own(data)})
+	cl.bytes += uint64(len(data))
 	cl.mu.Unlock()
 }
 
@@ -233,7 +261,12 @@ func (l *Log) Trim(ch uint64, seq uint64) {
 	if i == 0 && (len(cl.entries) == 0 || cl.entries[0].Seq > seq) {
 		return
 	}
-	kept := append(cl.entries[:0:0], cl.entries[i:]...)
+	// Drop the prefix by re-slicing; the survivors are copied only when a
+	// later append finds the backing array full and moves them to a new
+	// one, which leaves the dead slots behind. Cleared, a dead slot no
+	// longer holds its arena chunk.
+	clear(cl.entries[:i])
+	kept := cl.entries[i:]
 	// Re-frame a batch straddling the trim point to its surviving suffix.
 	// On a slicer error the whole frame is kept: over-retention only costs
 	// log bytes, and replay overlap is deduplicated downstream.
@@ -248,7 +281,6 @@ func (l *Log) Trim(ch uint64, seq uint64) {
 		}
 	}
 	cl.entries = kept
-	cl.base = seq + 1
 }
 
 // TrimSuffix discards all records on channel ch with sequence numbers
@@ -268,6 +300,7 @@ func (l *Log) TrimSuffix(ch uint64, seq uint64) {
 		keep--
 		cl.bytes -= uint64(len(cl.entries[keep].Data))
 	}
+	clear(cl.entries[keep:])
 	cl.entries = cl.entries[:keep]
 	if keep > 0 && cl.entries[keep-1].last() > seq {
 		last := cl.entries[keep-1]

@@ -142,3 +142,112 @@ func TestAppendBatchTakesOwningCopy(t *testing.T) {
 	}
 	expectRecords(t, entries, 1, 4)
 }
+
+// TestArenaEntriesSurvive appends batches of mixed sizes from one recycled,
+// poisoned frame buffer — across chunk boundaries and past the size that
+// gets its own allocation — and checks that every entry still reads back
+// intact after the trims and re-framings that replace its neighbours.
+func TestArenaEntriesSurvive(t *testing.T) {
+	l := NewWithSlicer(testSlicer)
+	// testBatch numbers records with one byte, so sequence numbers stay
+	// below 256 and the sizes come from padding appended after the records;
+	// testSlicer would count padding as records, so it only ever sees the
+	// unpadded boundary batches below.
+	sizes := []int{0, 100, 5000, arenaChunkMin, arenaChunk / 4, arenaChunk/4 + 1, 3 * arenaChunk}
+	buf := make([]byte, 0, 4*arenaChunk)
+	var want [][]byte
+	seq := uint64(1)
+	for round := 0; round < 12; round++ {
+		count := 1 + round%3
+		buf = append(buf[:0], testBatch(seq, count)...)
+		if round != 4 && round != 10 {
+			buf = append(buf, make([]byte, sizes[round%len(sizes)])...)
+		}
+		l.AppendBatch(7, seq, count, buf)
+		want = append(want, append([]byte(nil), buf...))
+		for i := range buf {
+			buf[i] = 0xDB // the sender's frame is recycled and poisoned
+		}
+		seq += uint64(count)
+	}
+	check := func(entries []Entry, want [][]byte) {
+		t.Helper()
+		if len(entries) != len(want) {
+			t.Fatalf("%d entries, want %d", len(entries), len(want))
+		}
+		for i, e := range entries {
+			if string(e.Data) != string(want[i]) {
+				t.Fatalf("entry %d (seq %d, %d bytes) was overwritten", i, e.Seq, len(e.Data))
+			}
+			if cap(e.Data) != len(e.Data) {
+				t.Fatalf("entry %d can be appended to in place: len %d cap %d", i, len(e.Data), cap(e.Data))
+			}
+		}
+	}
+	check(l.Range(7, 0, seq), want)
+
+	// Rounds 4 and 10 hold seqs [8,9] and [20,21]: trim into the first and
+	// cut the log back into the second, re-framing both.
+	l.Trim(7, 8)
+	l.TrimSuffix(7, 20)
+	got := l.Range(7, 0, seq)
+	expectRecords(t, got[:1], 9, 9)
+	check(got[1:6], want[5:10])
+	expectRecords(t, got[6:], 20, 20)
+	if st := l.Stats(); st.SlicerErrors != 0 || st.Records != 12 {
+		t.Fatalf("stats after trims: %+v", st)
+	}
+}
+
+// TestTrimReslices: a long append/trim cycle keeps the entries right and
+// the backing array proportional to what is live, with no copy per Trim.
+func TestTrimReslices(t *testing.T) {
+	l := New()
+	const live = 100
+	for seq := uint64(1); seq <= 20000; seq++ {
+		l.Append(1, seq, []byte{byte(seq)})
+		if seq > live {
+			l.Trim(1, seq-live)
+		}
+	}
+	got := l.Range(1, 0, 1<<62)
+	if len(got) != live || got[0].Seq != 20000-live+1 || got[live-1].Seq != 20000 {
+		t.Fatalf("live window wrong: %d entries", len(got))
+	}
+	cl, _ := l.lookup(1)
+	if c := cap(cl.entries); c > 4*live {
+		t.Fatalf("backing array holds %d slots for %d live entries", c, live)
+	}
+}
+
+func BenchmarkAppendBatch(b *testing.B) {
+	frame := make([]byte, 4500)
+	l := NewWithSlicer(testSlicer)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := uint64(i)*64 + 1
+		l.AppendBatch(1, seq, 64, frame)
+		if i%1024 == 1023 { // a checkpoint's trim, so the log stays bounded
+			l.Trim(1, seq-1)
+		}
+	}
+}
+
+// BenchmarkTrim trims one frame off a log that keeps 4096 live: the cost
+// of a Trim must not depend on how many entries survive it.
+func BenchmarkTrim(b *testing.B) {
+	frame := make([]byte, 4500)
+	l := NewWithSlicer(testSlicer)
+	const live = 4096
+	for i := 0; i < live; i++ {
+		l.AppendBatch(1, uint64(i)*64+1, 64, frame)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.AppendBatch(1, uint64(live+i)*64+1, 64, frame)
+		l.Trim(1, uint64(i+1)*64)
+	}
+}

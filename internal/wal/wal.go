@@ -9,15 +9,30 @@
 // corrupt frame, so a crash mid-write loses at most the unacknowledged
 // tail.
 //
-// Three sync policies trade latency for durability:
+// No appender touches the filesystem. An append builds its CRC'd frame
+// into an in-memory stage under a short lock and returns the LSN. One
+// committer goroutine swaps the stage for its spare (double buffer),
+// issues one write per pass, rotates segments itself, and fsyncs only
+// when somebody waits for durability or a segment is sealed. The stage
+// is bounded by MaxSegmentSize; appenders block past that, so a stalled
+// disk turns into back-pressure rather than memory.
 //
-//   - SyncAlways: every Append fsyncs before returning.
-//   - SyncGroup: appends block until a single committer goroutine has
-//     fsynced past their LSN; the committer batches all concurrently
-//     blocked appends into one fsync (group commit).
-//   - SyncInterval: appends return immediately; a background goroutine
-//     fsyncs every Interval. Crash may lose up to one interval of
-//     acknowledged appends — callers opting in accept that window.
+// The three sync policies share that path and differ only in who waits
+// and what wakes the committer:
+//
+//   - SyncAlways: every append (Append and AppendAsync) waits for an
+//     fsync covering it; concurrent appenders share one.
+//   - SyncGroup: Append waits, AppendAsync does not; WaitSynced — the
+//     caller's durability barrier — demands the fsync. Between barriers
+//     the log is only written, or still staged.
+//   - SyncInterval: nobody demands; a tick every Interval makes the
+//     committer write and fsync what is pending, and WaitSynced waits for
+//     that tick. A crash may lose up to one interval of appends.
+//
+// What is durable is what a returned WaitSynced or blocking Append
+// covered. A process crash additionally loses the staged frames, so the
+// log on disk afterwards is a gap-free prefix of the appends that holds
+// at least every frame such a call covered.
 package wal
 
 import (
@@ -27,6 +42,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,32 +167,37 @@ type segment struct {
 	chMax map[uint64]uint64
 }
 
+// flushBytes is the stage size at which an appender wakes the committer
+// for a write nobody is waiting on. It keeps a barrier's flush short; the
+// bound on the stage is MaxSegmentSize.
+const flushBytes = 256 << 10
+
 // WAL is a segmented write-ahead log. Safe for concurrent use.
 type WAL struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex // write path: segments, active file, frontier
-	segs      []*segment // sealed, oldest first
+	mu        sync.Mutex    // the stage and the sync state
+	done      *sync.Cond    // committer progress: stage space, syncedLSN, syncErr (on mu)
+	stage     []byte        // encoded frames the committer has not taken yet
+	spare     []byte        // the other half of the double buffer
+	lsn       atomic.Uint64 // appends so far; advanced under mu, read without
+	wantSync  bool          // a waiter demands that the next pass fsyncs
+	syncedLSN uint64
+	syncErr   error // first write, rotate or fsync failure; latched
+	closing   bool
+	crashed   bool
+	wake      chan struct{} // committer wake; one pending token is enough
+
+	// The files belong to the committer; fmu guards what Trim shares.
 	active    *segment
-	frontier  map[uint64]uint64
 	nextIndex uint64
-	lsn       uint64 // last record written (under mu)
-	buf       []byte // frame scratch (under mu)
+	fmu       sync.Mutex
+	segs      []*segment // sealed, oldest first
+	frontier  map[uint64]uint64
 
-	sm         sync.Mutex // sync state
-	wake       *sync.Cond // committer wake (on sm)
-	done       *sync.Cond // waiter wake (on sm)
-	pendingLSN uint64
-	syncedLSN  uint64
-	syncErr    error
-	closing    bool
-	crashed    bool
+	wg sync.WaitGroup
 
-	closed atomic.Bool
-	wg     sync.WaitGroup
-
-	appends    atomic.Uint64
 	fsyncs     atomic.Uint64
 	bytes      atomic.Uint64
 	segCreated atomic.Uint64
@@ -200,29 +221,19 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 		dir:      dir,
 		opts:     opts,
 		frontier: make(map[uint64]uint64),
+		wake:     make(chan struct{}, 1),
 	}
-	w.wake = sync.NewCond(&w.sm)
-	w.done = sync.NewCond(&w.sm)
+	w.done = sync.NewCond(&w.mu)
 
 	recs, err := w.recover()
 	if err != nil {
 		return nil, nil, err
 	}
-	w.mu.Lock()
-	err = w.openSegmentLocked()
-	w.mu.Unlock()
-	if err != nil {
+	if err := w.openSegment(); err != nil {
 		return nil, nil, err
 	}
-
-	switch opts.Policy {
-	case SyncGroup:
-		w.wg.Add(1)
-		go w.committer()
-	case SyncInterval:
-		w.wg.Add(1)
-		go w.ticker()
-	}
+	w.wg.Add(1)
+	go w.committer()
 	return w, recs, nil
 }
 
@@ -360,7 +371,7 @@ func (w *WAL) scanSegment(index uint64, path string) (*segment, []Record, bool, 
 	return seg, recs, torn, nil
 }
 
-func (w *WAL) openSegmentLocked() error {
+func (w *WAL) openSegment() error {
 	idx := w.nextIndex
 	w.nextIndex++
 	path := filepath.Join(w.dir, fmt.Sprintf("%012d%s", idx, segSuffix))
@@ -397,100 +408,69 @@ func (w *WAL) syncDir() {
 	d.Close()
 }
 
-// Append writes r to the log. Durability on return depends on the sync
-// policy: always and group guarantee the record is on disk; interval
-// only guarantees it is in the OS buffer.
+// Append stages r and, under SyncAlways and SyncGroup, returns once an
+// fsync covers it. Under SyncInterval it returns at once.
 func (w *WAL) Append(r Record) error {
-	if w.closed.Load() {
-		return ErrClosed
-	}
-	lsn, err := w.write(r)
-	if err != nil {
+	lsn, err := w.stageFrame(r)
+	if err != nil || w.opts.Policy == SyncInterval {
 		return err
 	}
-	w.appends.Add(1)
-	switch w.opts.Policy {
-	case SyncAlways, SyncInterval:
-		return nil // always synced inline in write(); interval returns early
+	return w.WaitSynced(lsn)
+}
+
+// AppendAsync stages r and returns its LSN without waiting for
+// durability (SyncAlways still waits). Callers pair it with WaitSynced
+// at their durability barrier — the pipelined shape of group commit,
+// which keeps the write and the fsync off the append path.
+func (w *WAL) AppendAsync(r Record) (uint64, error) {
+	lsn, err := w.stageFrame(r)
+	if err == nil && w.opts.Policy == SyncAlways {
+		err = w.WaitSynced(lsn)
 	}
-	// Group commit: wait for the committer to fsync past our LSN.
-	w.sm.Lock()
-	defer w.sm.Unlock()
-	if lsn > w.pendingLSN {
-		w.pendingLSN = lsn
+	return lsn, err
+}
+
+// LastLSN returns the LSN of the most recently appended record.
+func (w *WAL) LastLSN() uint64 { return w.lsn.Load() }
+
+// WaitSynced blocks until the log is durable through lsn, demanding the
+// fsync unless the policy's tick provides it. It fails with the latched
+// error once the committer has failed, and with ErrClosed when a
+// CrashClose got there first: nothing past the last fsync is durable.
+func (w *WAL) WaitSynced(lsn uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.syncedLSN < lsn && w.opts.Policy != SyncInterval {
+		// Set once: wantSync is cleared where the stage is swapped, so the
+		// pass that clears it, or the one our token starts, covers lsn.
+		w.wantSync = true
+		w.kick()
 	}
-	w.wake.Signal()
 	for w.syncedLSN < lsn && w.syncErr == nil && !w.crashed {
 		w.done.Wait()
+	}
+	if w.syncedLSN >= lsn {
+		return nil
 	}
 	if w.syncErr != nil {
 		return w.syncErr
 	}
-	if w.syncedLSN < lsn {
-		return ErrClosed
-	}
-	return nil
-}
-
-// AppendAsync writes r and returns its LSN without waiting for
-// durability: the record is scheduled for the next fsync of the
-// configured policy (SyncAlways still fsyncs inline before returning).
-// Callers pair it with WaitSynced at their durability barrier — the
-// pipelined shape of group commit, which keeps the fsync cost entirely
-// off the append path.
-func (w *WAL) AppendAsync(r Record) (uint64, error) {
-	if w.closed.Load() {
-		return 0, ErrClosed
-	}
-	lsn, err := w.write(r)
-	if err != nil {
-		return 0, err
-	}
-	w.appends.Add(1)
-	if w.opts.Policy == SyncGroup {
-		w.sm.Lock()
-		if lsn > w.pendingLSN {
-			w.pendingLSN = lsn
-		}
-		w.wake.Signal()
-		w.sm.Unlock()
-	}
-	return lsn, nil
-}
-
-// LastLSN returns the LSN of the most recently written record.
-func (w *WAL) LastLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lsn
-}
-
-// WaitSynced blocks until the log is durable through lsn. A graceful
-// Close releases waiters after its final fsync; a CrashClose releases
-// them immediately — across a crash boundary there is no durability
-// left to wait for, and the caller's engine is being torn down anyway.
-func (w *WAL) WaitSynced(lsn uint64) error {
-	w.sm.Lock()
-	defer w.sm.Unlock()
-	for w.syncedLSN < lsn && w.syncErr == nil && !w.crashed {
-		w.done.Wait()
-	}
-	return w.syncErr
+	return ErrClosed
 }
 
 // Trim records a prefix-trim for ch through seq and deletes any sealed
-// segments wholly below the new frontier.
+// segments wholly below the new frontier. The record is not waited for:
+// losing it to a crash only retains data longer.
 func (w *WAL) Trim(ch, seq uint64) error {
-	err := w.Append(Record{Type: RecTrim, Ch: ch, Seq: seq})
-	if err != nil {
+	if _, err := w.AppendAsync(Record{Type: RecTrim, Ch: ch, Seq: seq}); err != nil {
 		return err
 	}
-	w.mu.Lock()
+	w.fmu.Lock()
 	if seq > w.frontier[ch] {
 		w.frontier[ch] = seq
 	}
 	w.dropSegmentsLocked()
-	w.mu.Unlock()
+	w.fmu.Unlock()
 	return nil
 }
 
@@ -502,101 +482,176 @@ func (w *WAL) TrimSuffix(ch, seq uint64) error {
 	return w.Append(Record{Type: RecTrimSuffix, Ch: ch, Seq: seq})
 }
 
-func (w *WAL) write(r Record) (uint64, error) {
+// kick wakes the committer for one more pass. Called with mu held.
+func (w *WAL) kick() {
+	select {
+	case w.wake <- struct{}{}:
+	default: // a pass is already owed
+	}
+}
+
+// stageFrame builds r's frame at the end of the stage and returns its
+// LSN. It blocks only while the frame does not fit under the stage bound.
+func (w *WAL) stageFrame(r Record) (uint64, error) {
+	n := frameHeader + bodyFixed + len(r.Data)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.active == nil || w.active.f == nil {
+	for len(w.stage) > 0 && int64(len(w.stage)+n) > w.opts.MaxSegmentSize && !w.closing && w.syncErr == nil {
+		w.kick()
+		w.done.Wait()
+	}
+	if w.closing {
 		return 0, ErrClosed
 	}
-	frameLen := int64(frameHeader + bodyFixed + len(r.Data))
-	if w.active.size > 0 && w.active.size+frameLen > w.opts.MaxSegmentSize {
-		if err := w.rotateLocked(); err != nil {
-			return 0, err
-		}
+	if w.syncErr != nil {
+		return 0, w.syncErr
 	}
-	// Build the frame in the scratch buffer: header is filled after the
-	// body so the CRC covers a contiguous slice.
-	need := int(frameLen)
-	if cap(w.buf) < need {
-		w.buf = make([]byte, need)
-	}
-	buf := w.buf[:need]
-	body := buf[frameHeader:]
+	at := len(w.stage)
+	w.stage = slices.Grow(w.stage, n)[:at+n]
+	// The header is filled after the body so the CRC covers a contiguous
+	// slice.
+	frame := w.stage[at:]
+	body := frame[frameHeader:]
 	body[0] = byte(r.Type)
 	binary.LittleEndian.PutUint64(body[1:], r.Ch)
 	binary.LittleEndian.PutUint64(body[9:], r.Seq)
 	binary.LittleEndian.PutUint32(body[17:], r.Count)
 	copy(body[bodyFixed:], r.Data)
-	binary.LittleEndian.PutUint32(buf, uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(body, castagnoli))
-
-	if _, err := w.active.f.Write(buf); err != nil {
-		return 0, err
+	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
+	if at < flushBytes && at+n >= flushBytes {
+		w.kick()
 	}
-	w.active.size += frameLen
-	w.bytes.Add(uint64(frameLen))
-	if r.Type == RecAppend {
-		last := r.Seq
-		if r.Count > 0 {
-			last = r.Seq + uint64(r.Count) - 1
-		}
-		if last > w.active.chMax[r.Ch] {
-			w.active.chMax[r.Ch] = last
-		}
-	}
-	w.lsn++
-	lsn := w.lsn
-
-	switch w.opts.Policy {
-	case SyncAlways:
-		w.stall()
-		ts := w.opts.Trace.Begin()
-		if err := w.active.f.Sync(); err != nil {
-			return 0, err
-		}
-		w.fsyncs.Add(1)
-		w.opts.Trace.Span("wal.fsync", 0, 1, ts)
-		w.sm.Lock()
-		if lsn > w.pendingLSN {
-			w.pendingLSN = lsn
-		}
-		if lsn > w.syncedLSN {
-			w.syncedLSN = lsn
-		}
-		w.done.Broadcast()
-		w.sm.Unlock()
-	case SyncInterval:
-		w.sm.Lock()
-		if lsn > w.pendingLSN {
-			w.pendingLSN = lsn
-		}
-		w.sm.Unlock()
-	}
-	return lsn, nil
+	w.bytes.Add(uint64(n))
+	return w.lsn.Add(1), nil
 }
 
-// rotateLocked seals the active segment (fsync + close) and opens a
-// fresh one. The seal fsync preserves the group-commit invariant that
-// every record outside the current active file is already durable.
-func (w *WAL) rotateLocked() error {
-	s := w.active
-	if s.f != nil {
-		w.stall()
-		if err := s.f.Sync(); err != nil {
-			s.f.Close()
-			s.f = nil
-			return err
-		}
-		w.fsyncs.Add(1)
-		// An instant, not a span: the seal fsync runs on the append path
-		// and may overlap the committer/ticker fsync span on this track.
-		w.opts.Trace.Instant("wal.rotate", 0, uint64(s.index))
-		s.f.Close()
-		s.f = nil
+// committer is the only goroutine that touches the files. Each pass
+// takes whatever is staged, writes it, and fsyncs if a waiter, the
+// interval tick or Close asked for it.
+func (w *WAL) committer() {
+	defer w.wg.Done()
+	var tick <-chan time.Time
+	if w.opts.Policy == SyncInterval {
+		t := time.NewTicker(w.opts.Interval)
+		defer t.Stop()
+		tick = t.C
 	}
+	for {
+		ticked := false
+		select {
+		case <-w.wake:
+		case <-tick:
+			ticked = true
+		}
+		w.mu.Lock()
+		if w.crashed {
+			w.mu.Unlock()
+			return
+		}
+		buf, target, closing, err := w.stage, w.lsn.Load(), w.closing, w.syncErr
+		w.stage, w.spare = w.spare, nil
+		unsynced := target - w.syncedLSN
+		sync := (w.wantSync || ticked || closing) && unsynced > 0
+		w.wantSync = false
+		w.done.Broadcast() // the stage has room again
+		w.mu.Unlock()
+
+		if err == nil {
+			err = w.flush(buf)
+		}
+		if err == nil && sync {
+			ts := w.opts.Trace.Begin()
+			err = w.syncActive()
+			w.opts.Trace.Span("wal.fsync", 0, unsynced, ts)
+		}
+
+		w.mu.Lock()
+		w.spare = buf[:0]
+		if err != nil {
+			w.syncErr = err
+		} else if sync {
+			w.syncedLSN = target
+		}
+		w.done.Broadcast()
+		w.mu.Unlock()
+		if closing {
+			return
+		}
+	}
+}
+
+// flush writes one pass's frames with one write, split only where the
+// next frame would overflow the active segment.
+func (w *WAL) flush(buf []byte) error {
+	start := 0
+	for off := 0; off < len(buf); {
+		body := buf[off+frameHeader:]
+		n := frameHeader + int(binary.LittleEndian.Uint32(buf[off:]))
+		if w.active.size > 0 && w.active.size+int64(n) > w.opts.MaxSegmentSize {
+			if err := w.writeActive(buf[start:off]); err != nil {
+				return err
+			}
+			if err := w.rotate(); err != nil {
+				return err
+			}
+			start = off
+		}
+		if RecordType(body[0]) == RecAppend {
+			ch, last := binary.LittleEndian.Uint64(body[1:]), binary.LittleEndian.Uint64(body[9:])
+			if count := binary.LittleEndian.Uint32(body[17:]); count > 0 {
+				last += uint64(count) - 1
+			}
+			if last > w.active.chMax[ch] {
+				w.active.chMax[ch] = last
+			}
+		}
+		w.active.size += int64(n)
+		off += n
+	}
+	return w.writeActive(buf[start:])
+}
+
+func (w *WAL) writeActive(p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	_, err := w.active.f.Write(p)
+	return err
+}
+
+// syncActive fsyncs the active file. Records in sealed segments are
+// already durable (rotation seals with its own fsync), so syncing only
+// the active file is sufficient.
+func (w *WAL) syncActive() error {
+	w.stall()
+	if err := w.active.f.Sync(); err != nil {
+		return err
+	}
+	w.fsyncs.Add(1)
+	return nil
+}
+
+// rotate seals the active segment (fsync + close) and opens a fresh
+// one. The seal fsync preserves the invariant that every record outside
+// the active file is already durable, and bounds what is written but
+// unsynced to one segment.
+func (w *WAL) rotate() error {
+	s := w.active
+	err := w.syncActive()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	s.f = nil
+	if err != nil {
+		return err
+	}
+	w.opts.Trace.Instant("wal.rotate", 0, s.index)
+	w.fmu.Lock()
 	w.segs = append(w.segs, s)
 	w.dropSegmentsLocked()
-	return w.openSegmentLocked()
+	w.fmu.Unlock()
+	return w.openSegment()
 }
 
 // dropSegmentsLocked deletes sealed segments oldest-first while the
@@ -623,162 +678,44 @@ func (w *WAL) dropSegmentsLocked() {
 	}
 }
 
-// committer is the single group-commit goroutine: it batches every
-// append that arrived since the last fsync into one write+fsync and
-// wakes all waiters at once.
-func (w *WAL) committer() {
-	defer w.wg.Done()
-	for {
-		w.sm.Lock()
-		for w.pendingLSN == w.syncedLSN && !w.closing {
-			w.wake.Wait()
-		}
-		if w.closing {
-			w.sm.Unlock()
-			return
-		}
-		target := w.pendingLSN
-		batch := target - w.syncedLSN
-		w.sm.Unlock()
+// Close writes and fsyncs what is staged and closes the log. Waiters
+// are released once that final fsync lands.
+func (w *WAL) Close() error { return w.stop(false) }
 
-		ts := w.opts.Trace.Begin()
-		err := w.syncActive()
-		w.opts.Trace.Span("wal.fsync", 0, batch, ts)
+// CrashClose simulates a process crash: what is staged is dropped,
+// nothing more is fsynced and pending waiters get ErrClosed. Used by
+// chaos tests to exercise recovery against real on-disk state.
+func (w *WAL) CrashClose() error { return w.stop(true) }
 
-		w.sm.Lock()
-		if err != nil && w.syncErr == nil {
-			w.syncErr = err
-		}
-		if target > w.syncedLSN {
-			w.syncedLSN = target
-		}
-		w.done.Broadcast()
-		w.sm.Unlock()
-	}
-}
-
-// ticker is the background-fsync goroutine for SyncInterval.
-func (w *WAL) ticker() {
-	defer w.wg.Done()
-	t := time.NewTicker(w.opts.Interval)
-	defer t.Stop()
-	for range t.C {
-		w.sm.Lock()
-		if w.closing {
-			w.sm.Unlock()
-			return
-		}
-		target := w.pendingLSN
-		batch := target - w.syncedLSN
-		w.sm.Unlock()
-		if batch == 0 {
-			continue
-		}
-		ts := w.opts.Trace.Begin()
-		err := w.syncActive()
-		w.opts.Trace.Span("wal.fsync", 0, batch, ts)
-		w.sm.Lock()
-		if err != nil && w.syncErr == nil {
-			w.syncErr = err
-		}
-		if target > w.syncedLSN {
-			w.syncedLSN = target
-		}
-		w.done.Broadcast()
-		w.sm.Unlock()
-	}
-}
-
-// syncActive fsyncs the current active file. Records written to a
-// previous active file are already durable (rotation seals with its
-// own fsync), so syncing only the current file is sufficient.
-func (w *WAL) syncActive() error {
+// stop ends the committer — after a final flushing pass unless crash —
+// and closes the active file. Only the first call does anything.
+func (w *WAL) stop(crash bool) error {
 	w.mu.Lock()
-	var f *os.File
-	if w.active != nil {
-		f = w.active.f
-	}
-	w.mu.Unlock()
-	if f == nil {
+	if w.closing {
+		w.mu.Unlock()
 		return nil
 	}
-	w.stall()
-	if err := f.Sync(); err != nil {
-		// The file may have been sealed (fsynced and closed) by a
-		// concurrent rotation — its data is durable either way.
-		if errors.Is(err, os.ErrClosed) {
-			return nil
-		}
-		return err
-	}
-	w.fsyncs.Add(1)
-	return nil
-}
-
-// Close flushes, fsyncs, and closes the log. Pending group-commit
-// waiters are released successfully once the final fsync lands.
-func (w *WAL) Close() error {
-	if w.closed.Swap(true) {
-		return nil
-	}
-	w.sm.Lock()
 	w.closing = true
-	w.wake.Broadcast()
-	w.sm.Unlock()
+	w.crashed = crash
+	w.kick()
+	w.done.Broadcast()
+	w.mu.Unlock()
 	w.wg.Wait()
 
-	w.mu.Lock()
-	var err error
-	if w.active != nil && w.active.f != nil {
-		if e := w.active.f.Sync(); e != nil {
-			err = e
-		} else {
-			w.fsyncs.Add(1)
-		}
-		if e := w.active.f.Close(); e != nil && err == nil {
-			err = e
+	err := w.syncErr // the committer, its only writer, has exited
+	if f := w.active.f; f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 		w.active.f = nil
 	}
-	w.mu.Unlock()
-
-	w.sm.Lock()
-	if w.pendingLSN > w.syncedLSN {
-		w.syncedLSN = w.pendingLSN
-	}
-	w.done.Broadcast()
-	w.sm.Unlock()
 	return err
-}
-
-// CrashClose simulates a crash: the file is closed without a final
-// fsync and pending waiters get ErrClosed. Used by chaos tests to
-// exercise torn-tail recovery against real on-disk state.
-func (w *WAL) CrashClose() error {
-	if w.closed.Swap(true) {
-		return nil
-	}
-	w.sm.Lock()
-	w.closing = true
-	w.crashed = true
-	w.wake.Broadcast()
-	w.done.Broadcast()
-	w.sm.Unlock()
-	w.wg.Wait()
-
-	w.mu.Lock()
-	if w.active != nil && w.active.f != nil {
-		w.active.f.Close()
-		w.active.f = nil
-	}
-	w.mu.Unlock()
-	return nil
 }
 
 // Stats returns cumulative counters. Safe to call concurrently.
 func (w *WAL) Stats() Stats {
 	return Stats{
-		Appends:         w.appends.Load(),
+		Appends:         w.lsn.Load(),
 		Fsyncs:          w.fsyncs.Load(),
 		BytesWritten:    w.bytes.Load(),
 		SegmentsCreated: w.segCreated.Load(),
@@ -791,11 +728,7 @@ func (w *WAL) Stats() Stats {
 // Segments returns the number of segment files currently on disk
 // (sealed + active). For tests and observability.
 func (w *WAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.segs)
-	if w.active != nil {
-		n++
-	}
-	return n
+	w.fmu.Lock()
+	defer w.fmu.Unlock()
+	return len(w.segs) + 1
 }
