@@ -278,18 +278,6 @@ type (
 	MSTConfig = harness.MSTConfig
 	// Suite reproduces the paper's evaluation section.
 	Suite = harness.Suite
-	// BenchConfig describes one drain-style data-plane throughput
-	// measurement (see BenchThroughput).
-	BenchConfig = harness.BenchConfig
-	// BenchPoint is one machine-readable throughput measurement, the unit
-	// of the committed BENCH_throughput.json trajectory.
-	BenchPoint = harness.BenchPoint
-	// RecoveryBenchConfig describes one recovery-time (RTO) measurement
-	// (see BenchRecovery).
-	RecoveryBenchConfig = harness.RecoveryBenchConfig
-	// RecoveryPoint is one machine-readable RTO measurement, the unit of
-	// the committed BENCH_recovery.json trajectory.
-	RecoveryPoint = harness.RecoveryPoint
 	// ChaosPlan is the deterministic fault-injection plan of a run:
 	// windowed store brownouts/outages/latency spikes, WAL fsync stalls
 	// and exchange delay/jitter (RunConfig.Chaos).
@@ -335,17 +323,6 @@ func Run(cfg RunConfig) (RunResult, error) { return harness.Run(cfg) }
 // FindMST searches for the maximum sustainable throughput.
 func FindMST(cfg MSTConfig) (float64, error) { return harness.FindMST(cfg) }
 
-// BenchThroughput drains a fixed record volume as fast as the engine can
-// and reports the achieved data-plane throughput — the measurement behind
-// the committed BENCH_throughput.json baseline.
-func BenchThroughput(cfg BenchConfig) (BenchPoint, error) { return harness.BenchThroughput(cfg) }
-
-// BenchRecovery injects a failure into a paced run and measures the RTO
-// phase breakdown (detection, rollback computation, state fetch, replay,
-// catch-up) — the measurement behind the committed BENCH_recovery.json
-// baseline.
-func BenchRecovery(cfg RecoveryBenchConfig) (RecoveryPoint, error) { return harness.BenchRecovery(cfg) }
-
 // RunScenario runs one named hostile scenario (deterministic fault
 // injection + failure plan + workload skew) with transactional output and
 // reduces it to a ScenarioPoint carrying the exactly-once verdict — the
@@ -367,11 +344,6 @@ type FramePoolStats = core.FramePoolStats
 // process-wide: recycled wire frames are scribbled before reuse so stale
 // aliases corrupt deterministically. Returns the previous setting.
 func SetFramePoison(enabled bool) (prev bool) { return core.SetFramePoison(enabled) }
-
-// SetFramePooling enables or disables frame pooling process-wide (enabled
-// by default); disabling restores the one-allocation-per-envelope data
-// plane for A/B measurements. Returns the previous setting.
-func SetFramePooling(enabled bool) (prev bool) { return core.SetFramePooling(enabled) }
 
 // ReadFramePoolStats returns the process-wide frame pool counters.
 func ReadFramePoolStats() FramePoolStats { return core.ReadFramePoolStats() }

@@ -22,7 +22,7 @@ func main() {
 	var (
 		full    = flag.Bool("full", false, "paper-scale configuration (60 s runs, up to 100 workers)")
 		out     = flag.String("out", "", "also write results to this file")
-		only    = flag.String("only", "", "run a single experiment: table1, fig7, table2, fig8, fig9, fig10, fig11, recovery, rto, table3, fig12, fig13, table4, alloc, pause, scale, durable, trace, spill, scenarios")
+		only    = flag.String("only", "", "run a single experiment: table1, fig7, table2, fig8, fig9, fig10, fig11, recovery, rto, table3, fig12, fig13, table4, scenarios")
 		scale   = flag.Float64("scale", 0, "override the time-compression factor")
 		workers = flag.Int("max-workers", 0, "cap the parallelism grid at this many workers")
 	)
@@ -109,15 +109,9 @@ func main() {
 		{"ext-output", one(suite.ExtensionOutputTable)},
 		{"ext-eventtime", one(suite.ExtensionEventTimeTable)},
 		{"ext-rollback-scope", one(suite.ExtensionRollbackScopeTable)},
-		{"alloc", one(suite.AllocThroughputTable)},
-		{"pause", one(suite.PauseTable)},
-		{"scale", one(suite.ScaleTable)},
-		{"durable", one(suite.DurableTable)},
-		{"trace", one(suite.TraceOverheadTable)},
 		{"abl-policy", one(suite.AblationTriggerPolicyTable)},
 		{"abl-compress", one(suite.AblationCompressionTable)},
 		{"abl-gc", one(suite.AblationGCTable)},
-		{"spill", one(suite.SpillTable)},
 		{"scenarios", one(suite.ScenarioTable)},
 	}
 

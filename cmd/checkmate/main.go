@@ -49,7 +49,6 @@ func main() {
 		output       = flag.String("output", "none", "sink output mode: none, immediate, transactional")
 		compress     = flag.Bool("compress", false, "deflate checkpoint blobs before upload")
 		delta        = flag.Bool("delta", false, "incremental (base+delta) checkpoints of keyed operator state")
-		syncSnap     = flag.Bool("sync-snapshots", false, "serialize checkpoint state on the processing goroutine (pre-async baseline) instead of asynchronous copy-on-write snapshots")
 		scope        = flag.Bool("scope", false, "analyze the single-failure rollback scope after the run (UNC/CIC)")
 		batch        = flag.Int("batch", 0, "exchange batch size in records (0/1 = unbatched)")
 		batchB       = flag.Int("batch-bytes", 0, "exchange batch size bound in bytes (0 = default 32KiB)")
@@ -61,7 +60,6 @@ func main() {
 		durable      = flag.Bool("durable", false, "enable the filesystem durability tier: disk-backed object store plus a WAL behind the message log (UNC/CIC)")
 		walDir       = flag.String("wal-dir", "", "directory for durable files (blobs/ and wal/); default: a fresh temp dir removed after the run")
 		walSync      = flag.String("wal-sync", "group", "WAL sync policy for -durable: always, group or interval")
-		benchJSON    = flag.String("bench-json", "", "run the data-plane throughput grid (query x protocol x batch size) and write machine-readable results to this file")
 		scenario     = flag.String("scenario", "", "run one named hostile scenario (see -scenarios) under -protocol with transactional output and print its point")
 		listScen     = flag.Bool("scenarios", false, "list the registered hostile scenarios and exit")
 		benchScen    = flag.String("bench-scenarios", "", "run the hostile-scenario matrix (scenario x COOR/UNC/CIC) and write machine-readable results to this file")
@@ -74,7 +72,6 @@ func main() {
 		failCount    = flag.Int("fail-count", 0, "crash count of the flapping failure domain (default 3)")
 		failInterval = flag.Duration("fail-interval", 0, "gap between successive rolling/flapping crashes (default duration/10)")
 		localCache   = flag.Bool("local-cache", false, "enable the worker-local state cache (warm recovery on surviving workers)")
-		benchRec     = flag.String("bench-recovery", "", "run the recovery benchmark grid (protocol x placement x cold/warm cache), print the RTO phase breakdown, and write machine-readable results to this file")
 
 		cpus = flag.Int("cpus", 0, "pin runtime.GOMAXPROCS for the run (0 = leave the process setting)")
 
@@ -125,18 +122,6 @@ func main() {
 		os.Exit(1)
 	}()
 
-	if *benchJSON != "" {
-		if err := runBenchGrid(*benchJSON); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *benchRec != "" {
-		if err := runRecoveryGrid(*benchRec); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *benchScen != "" {
 		if err := runScenarioGrid(*benchScen); err != nil {
 			log.Fatal(err)
@@ -213,7 +198,6 @@ func main() {
 		StoreFailureRate:     *flaky,
 		CompressCheckpoints:  *compress,
 		DeltaCheckpoints:     *delta,
-		SyncSnapshots:        *syncSnap,
 		AnalyzeRollbackScope: *scope,
 		BatchMaxRecords:      *batch,
 		BatchMaxBytes:        *batchB,
@@ -349,409 +333,6 @@ func startProfiles(cpuPath, memPath, mutexPath, blockPath string) (func(), error
 	}, nil
 }
 
-// runBenchGrid measures drain-style data-plane throughput over the
-// query × protocol × batch-size grid and writes the machine-readable
-// baseline consumed by the BENCH_throughput.json trajectory.
-func runBenchGrid(path string) error {
-	queries := []string{"q1", "q3"}
-	protocols := []string{"COOR", "UNC", "CIC"}
-	batches := []int{1, 8, 64}
-	type benchFile struct {
-		GeneratedUnix int64 `json:"generated_unix"`
-		// CPUs is the effective runtime.GOMAXPROCS the base grid ran under
-		// (scale-section points carry their own per-point cpus);
-		// PhysicalCPUs is the container's core count. GOMAXPROCS beyond the
-		// physical cores measures oversubscription, not hardware scaling.
-		CPUs         int                    `json:"cpus"`
-		PhysicalCPUs int                    `json:"physical_cpus"`
-		Workers      int                    `json:"workers"`
-		Records      int                    `json:"records"`
-		Points       []checkmate.BenchPoint `json:"points"`
-	}
-	out := benchFile{
-		GeneratedUnix: time.Now().Unix(),
-		CPUs:          runtime.GOMAXPROCS(0),
-		PhysicalCPUs:  runtime.NumCPU(),
-		Workers:       2,
-		Records:       200_000,
-	}
-	for _, q := range queries {
-		for _, pn := range protocols {
-			p, err := checkmate.ProtocolByName(pn)
-			if err != nil {
-				return err
-			}
-			for _, b := range batches {
-				pt, err := checkmate.BenchThroughput(checkmate.BenchConfig{
-					Query:           q,
-					Protocol:        p,
-					Workers:         out.Workers,
-					Records:         out.Records,
-					BatchMaxRecords: b,
-					Repeat:          3,
-				})
-				if err != nil {
-					return fmt.Errorf("bench %s/%s/batch=%d: %w", q, pn, b, err)
-				}
-				fmt.Printf("%-4s %-5s batch=%-3d  %10.0f rec/s  p50=%7.1fms  p99=%7.1fms  %.2fx overhead  %.1f rec/batch  %6.2f allocs/rec  %7.0f B/rec  gc=%d/%.2fms\n",
-					q, pn, b, pt.RecordsPerSec, pt.P50Millis, pt.P99Millis, pt.OverheadRatio, pt.AvgBatchRecords,
-					pt.AllocsPerRecord, pt.BytesPerRecord, pt.GCCycles, pt.GCPauseTotalMs)
-				out.Points = append(out.Points, pt)
-			}
-		}
-	}
-	// Checkpoint pause A/B: q3 (growing keyed join state; 450k records put
-	// >100k distinct keys in the join stores) at batch 64, per protocol
-	// (unaligned coordinated included), async snapshots on vs off, at both
-	// full-snapshot and base-plus-delta persistence. These rows carry the
-	// pause columns of the asynchronous-snapshot pipeline.
-	const pauseRecords = 450_000
-	for _, pn := range []string{"COOR", "UCOOR", "UNC", "CIC"} {
-		p, err := checkmate.ProtocolByName(pn)
-		if err != nil {
-			return err
-		}
-		for _, delta := range []bool{false, true} {
-			for _, sync := range []bool{false, true} {
-				pt, err := checkmate.BenchThroughput(checkmate.BenchConfig{
-					Query:              "q3",
-					Protocol:           p,
-					Workers:            out.Workers,
-					Records:            pauseRecords,
-					BatchMaxRecords:    64,
-					CheckpointInterval: 100 * time.Millisecond,
-					SyncSnapshots:      sync,
-					DeltaCheckpoints:   delta,
-					Repeat:             3,
-				})
-				if err != nil {
-					return fmt.Errorf("bench pause q3/%s/delta=%v/sync=%v: %w", pn, delta, sync, err)
-				}
-				async := "async"
-				if sync {
-					async = "sync "
-				}
-				fmt.Printf("q3   %-5s %s delta=%-5v  %10.0f rec/s  ckpts=%-3d  pause max=%6.2fms mean=%6.3fms p99=%6.2fms  mat=%6.2fms up=%6.2fms  Δp99=%5.1fms\n",
-					pn, async, delta, pt.RecordsPerSec, pt.SyncPauses,
-					pt.MaxSyncPauseMs, pt.MeanSyncPauseMs, pt.P99SyncPauseMs,
-					pt.MeanMaterializeMs, pt.MeanUploadMs, pt.CkptP99DeltaMs)
-				out.Points = append(out.Points, pt)
-			}
-		}
-	}
-	// Cores-axis scale grid: q1 per protocol at GOMAXPROCS 1/2/4/8, fixed
-	// batch 64 so the cores axis is the only variable. Each point records
-	// the effective GOMAXPROCS it ran under and its speedup against the
-	// same protocol's 1-cpu row.
-	for _, pn := range protocols {
-		p, err := checkmate.ProtocolByName(pn)
-		if err != nil {
-			return err
-		}
-		var base1 float64
-		for _, n := range []int{1, 2, 4, 8} {
-			pt, err := checkmate.BenchThroughput(checkmate.BenchConfig{
-				Query:           "q1",
-				Protocol:        p,
-				Workers:         out.Workers,
-				Records:         out.Records,
-				BatchMaxRecords: 64,
-				CPUs:            n,
-				Repeat:          3,
-			})
-			if err != nil {
-				return fmt.Errorf("bench scale q1/%s/cpus=%d: %w", pn, n, err)
-			}
-			if n == 1 {
-				base1 = pt.RecordsPerSec
-			}
-			if base1 > 0 {
-				pt.SpeedupVs1CPU = pt.RecordsPerSec / base1
-			}
-			fmt.Printf("q1   %-5s cpus=%-2d    %10.0f rec/s  %5.2fx vs 1 cpu  %6.2f allocs/rec  gc=%d/%.2fms\n",
-				pn, pt.CPUs, pt.RecordsPerSec, pt.SpeedupVs1CPU, pt.AllocsPerRecord, pt.GCCycles, pt.GCPauseTotalMs)
-			out.Points = append(out.Points, pt)
-		}
-	}
-	// Durability grid: q1 per protocol at batch 8, durability off (the
-	// in-memory baseline), group commit and fsync-per-commit. The logging
-	// protocols pay the WAL; COOR pays only the disk object store — the
-	// protocols' durability cost asymmetry, measured. 100k records keep the
-	// sync-always points (one fsync per WAL commit) from dominating the
-	// grid's runtime.
-	const durableRecords = 100_000
-	for _, pn := range protocols {
-		p, err := checkmate.ProtocolByName(pn)
-		if err != nil {
-			return err
-		}
-		for _, mode := range []string{"off", "group", "always"} {
-			cfg := checkmate.BenchConfig{
-				Query:           "q1",
-				Protocol:        p,
-				Workers:         out.Workers,
-				Records:         durableRecords,
-				BatchMaxRecords: 8,
-				Repeat:          3,
-			}
-			if mode != "off" {
-				cfg.Durable = true
-				cfg.WALSync = mode
-			}
-			pt, err := checkmate.BenchThroughput(cfg)
-			if err != nil {
-				return fmt.Errorf("bench durable q1/%s/%s: %w", pn, mode, err)
-			}
-			fmt.Printf("q1   %-5s durable=%-6s %10.0f rec/s  wal: %d appends / %d fsyncs (%d B)  store fsyncs: %d\n",
-				pn, mode, pt.RecordsPerSec, pt.WALAppends, pt.WALFsyncs, pt.WALBytes, pt.StoreFsyncs)
-			out.Points = append(out.Points, pt)
-		}
-	}
-	// Larger-than-memory state A/B: q3 grown to ≥5M distinct join keys
-	// (the ROADMAP's "millions of users" scale), resident versus spilled
-	// under a 32 MiB per-instance overlay budget, plus a cheaper q8 pair.
-	// In drain mode the broker retains every generated event for replay, so
-	// process RSS is dominated by the workload; the bounded quantity is the
-	// state-attributable memory — state_mb is the logical keyed state both
-	// rows carry, spill_resident_mb is the in-memory share the budget caps
-	// (the rest lives in mmap'd segments, counted by peak_mapped_mb).
-	type spillRow struct {
-		query   string
-		records int
-		capMB   int
-		// strictKeys requires both rows to stop with identical key counts.
-		// Only meaningful for ever-growing state (q3): q8's windowed state
-		// evicts on wall-clock window boundaries, so its count at stop
-		// depends on drain duration.
-		strictKeys bool
-	}
-	for _, row := range []spillRow{{"q3", 45_000_000, 32, true}, {"q8", 4_000_000, 2, false}} {
-		p, err := checkmate.ProtocolByName("COOR")
-		if err != nil {
-			return err
-		}
-		var resident, spilled checkmate.BenchPoint
-		for _, spill := range []bool{false, true} {
-			cfg := checkmate.BenchConfig{
-				Query:              row.query,
-				Protocol:           p,
-				Workers:            out.Workers,
-				Records:            row.records,
-				BatchMaxRecords:    64,
-				CheckpointInterval: time.Second,
-				DeltaCheckpoints:   true,
-				Timeout:            900 * time.Second,
-				MemSample:          true,
-			}
-			if spill {
-				cfg.SpillState = true
-				cfg.SpillMaxMB = row.capMB
-			}
-			pt, err := checkmate.BenchThroughput(cfg)
-			if err != nil {
-				return fmt.Errorf("bench spill %s/spill=%v: %w", row.query, spill, err)
-			}
-			mode := "resident"
-			if spill {
-				mode = "spill"
-				spilled = pt
-			} else {
-				resident = pt
-			}
-			fmt.Printf("%-4s %-8s cap=%-3dMB %10.0f rec/s  keys=%-8d state=%7.1fMB  heap=%7.1fMB mapped=%7.1fMB rss=%7.1fMB resident=%6.1fMB  segs=%d spills=%d compactions=%d\n",
-				row.query, mode, row.capMB*boolToInt(spill), pt.RecordsPerSec, pt.StateKeys, pt.StateMB,
-				pt.PeakHeapMB, pt.PeakMappedMB, pt.PeakRSSMB, pt.SpillResidentMB,
-				pt.SegmentsPeak, pt.Spills, pt.SpillCompactions)
-			out.Points = append(out.Points, pt)
-		}
-		// The pair is only evidence if both rows processed the same state and
-		// the budget actually bound the spilling row's resident share while
-		// the resident row held everything in memory.
-		if row.strictKeys && spilled.StateKeys != resident.StateKeys {
-			return fmt.Errorf("bench spill %s: key divergence (%d resident vs %d spilled)",
-				row.query, resident.StateKeys, spilled.StateKeys)
-		}
-		if spilled.Spills == 0 {
-			return fmt.Errorf("bench spill %s: the spilling row never spilled (state %.1f MB under %d MB cap?)",
-				row.query, spilled.StateMB, row.capMB)
-		}
-		// Per-instance budgets are soft (a flush runs after the overlay
-		// crosses the cap), so allow 2x headroom across instances.
-		if maxMB := float64(2 * 2 * row.capMB); spilled.SpillResidentMB > maxMB {
-			return fmt.Errorf("bench spill %s: resident overlay peaked at %.1f MB, above the %0.f MB bound",
-				row.query, spilled.SpillResidentMB, maxMB)
-		}
-		// Final state vs peak overlay is only comparable when state never
-		// shrinks (windowed q8 evicts, so its final count undershoots).
-		if row.strictKeys && resident.StateMB < spilled.SpillResidentMB {
-			return fmt.Errorf("bench spill %s: resident-only run held less state (%.1f MB) than the spilling overlay (%.1f MB)",
-				row.query, resident.StateMB, spilled.SpillResidentMB)
-		}
-	}
-	// Tracing-overhead A/B: q1 per protocol at batch 8 with the
-	// checkpoint-lifecycle span collector off and on. The traced rows
-	// carry the span volume collected; the allocs/record column must not
-	// move between the pair — the enabled record path stores into
-	// preallocated rings.
-	for _, pn := range protocols {
-		p, err := checkmate.ProtocolByName(pn)
-		if err != nil {
-			return err
-		}
-		for _, traced := range []bool{false, true} {
-			pt, err := checkmate.BenchThroughput(checkmate.BenchConfig{
-				Query:           "q1",
-				Protocol:        p,
-				Workers:         out.Workers,
-				Records:         durableRecords,
-				BatchMaxRecords: 8,
-				Trace:           traced,
-				Repeat:          3,
-			})
-			if err != nil {
-				return fmt.Errorf("bench trace q1/%s/traced=%v: %w", pn, traced, err)
-			}
-			fmt.Printf("q1   %-5s traced=%-5v  %10.0f rec/s  %6d spans  %6.2f allocs/rec\n",
-				pn, traced, pt.RecordsPerSec, pt.TraceEvents, pt.AllocsPerRecord)
-			out.Points = append(out.Points, pt)
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d points to %s\n", len(out.Points), path)
-	return nil
-}
-
-// runRecoveryGrid measures the RTO phase breakdown over the protocol ×
-// cold/warm-cache grid (plus a placement sweep under COOR), prints each
-// breakdown, and writes the machine-readable baseline consumed by the
-// BENCH_recovery.json trajectory. Cold points fetch every restored byte
-// from the object store; warm points restore surviving workers' instances
-// from their local caches — the runner verifies warm recovery fetched
-// strictly fewer remote bytes than a cold recovery of the same failure
-// (restored_bytes, which local+remote always sum to) would.
-func runRecoveryGrid(path string) error {
-	type benchFile struct {
-		GeneratedUnix int64 `json:"generated_unix"`
-		// CPUs records the effective runtime.GOMAXPROCS of the run;
-		// PhysicalCPUs the container's core count.
-		CPUs         int                       `json:"cpus"`
-		PhysicalCPUs int                       `json:"physical_cpus"`
-		Workers      int                       `json:"workers"`
-		Points       []checkmate.RecoveryPoint `json:"points"`
-	}
-	out := benchFile{
-		GeneratedUnix: time.Now().Unix(),
-		CPUs:          runtime.GOMAXPROCS(0),
-		PhysicalCPUs:  runtime.NumCPU(),
-		Workers:       4,
-	}
-	printPt := func(pt checkmate.RecoveryPoint) {
-		cache := "cold"
-		if pt.LocalCache {
-			cache = "warm"
-		}
-		fmt.Printf("%-4s %-5s %-11s %s  detect=%6.1fms rollback=%6.1fms fetch=%6.1fms replay=%6.1fms catchup=%7.1fms  RTO=%7.1fms  restored=%6.1fKB (local %6.1fKB, remote %6.1fKB)\n",
-			pt.Query, pt.Protocol, pt.Placement, cache,
-			pt.DetectMs, pt.RollbackMs, pt.FetchMs, pt.ReplayMs, pt.CatchUpMs, pt.RTOMs,
-			float64(pt.RestoredBytes)/1024, float64(pt.LocalBytes)/1024, float64(pt.RemoteBytes)/1024)
-	}
-	run := func(cfg checkmate.RecoveryBenchConfig) error {
-		pt, err := checkmate.BenchRecovery(cfg)
-		if err != nil {
-			return fmt.Errorf("bench-recovery %s/%s/%s: %w", cfg.Query, cfg.Protocol.Name(), cfg.Placement, err)
-		}
-		printPt(pt)
-		out.Points = append(out.Points, pt)
-		return nil
-	}
-	for _, pn := range []string{"COOR", "UNC", "CIC"} {
-		p, err := checkmate.ProtocolByName(pn)
-		if err != nil {
-			return err
-		}
-		for _, warm := range []bool{false, true} {
-			if err := run(checkmate.RecoveryBenchConfig{
-				Query: "q3", Protocol: p, Workers: out.Workers, LocalCache: warm, Repeat: 3,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	// Placement sweep: the same COOR failure under the other policies,
-	// aimed at the busiest worker so the point stays meaningful whatever
-	// workers the colocate hash assigns the operators to.
-	for _, pl := range []string{"round-robin", "colocate"} {
-		p, _ := checkmate.ProtocolByName("COOR")
-		fw, err := busiestWorker("q3", out.Workers, pl)
-		if err != nil {
-			return err
-		}
-		if err := run(checkmate.RecoveryBenchConfig{
-			Query: "q3", Protocol: p, Workers: out.Workers, Placement: pl, FailWorker: fw, LocalCache: true, Repeat: 3,
-		}); err != nil {
-			return err
-		}
-	}
-	// Spillable-state recovery: the same q3 failure on base-plus-delta
-	// chains, keyed state resident versus spilled under a tight overlay
-	// budget. The spilled point restores by mmapping the fetched segment
-	// blobs (zero-copy install) instead of decoding them entry by entry —
-	// the fetch/replay columns of the pair are the restore-path A/B.
-	for _, spill := range []bool{false, true} {
-		p, err := checkmate.ProtocolByName("COOR")
-		if err != nil {
-			return err
-		}
-		cfg := checkmate.RecoveryBenchConfig{
-			Query: "q3", Protocol: p, Workers: out.Workers, Repeat: 3,
-			Rate:             40000,
-			DeltaCheckpoints: true,
-		}
-		if spill {
-			cfg.SpillState = true
-			cfg.SpillMaxEntries = 2048
-		}
-		if err := run(cfg); err != nil {
-			return err
-		}
-	}
-	for _, pt := range out.Points {
-		if pt.RestoredBytes != pt.LocalBytes+pt.RemoteBytes {
-			return fmt.Errorf("bench-recovery: %s/%s restored %d B but local %d + remote %d B",
-				pt.Protocol, pt.Placement, pt.RestoredBytes, pt.LocalBytes, pt.RemoteBytes)
-		}
-		// The warm-vs-cold criterion is asserted on the spread points: a
-		// surviving worker always holds part of the line there. Under
-		// colocate the failed worker can legitimately host every stateful
-		// operator (all-remote) or none (nothing restored).
-		if pt.LocalCache && pt.Placement == "spread" && pt.RemoteBytes >= pt.RestoredBytes {
-			return fmt.Errorf("bench-recovery: warm %s/%s point fetched %d of %d restored bytes remotely — cache served nothing",
-				pt.Protocol, pt.Placement, pt.RemoteBytes, pt.RestoredBytes)
-		}
-		if !pt.LocalCache && pt.RemoteBytes != pt.RestoredBytes {
-			return fmt.Errorf("bench-recovery: cold %s point restored %d B but fetched %d B remotely",
-				pt.Protocol, pt.RestoredBytes, pt.RemoteBytes)
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d points to %s\n", len(out.Points), path)
-	return nil
-}
-
 // runScenarioGrid runs the full hostile-scenario matrix (every registered
 // scenario x COOR/UNC/CIC, transactional output) and writes the
 // machine-readable baseline consumed by the BENCH_scenarios.json
@@ -864,45 +445,6 @@ func printScenarioPoint(pt checkmate.ScenarioPoint) {
 	fmt.Printf("  output:             %d visible, %d dup UIDs, %d replay-dedup drops\n",
 		pt.OutputVisible, pt.DuplicateUIDs, pt.DupDropped)
 	fmt.Printf("  exactly-once:       %v\n", pt.ExactlyOnce)
-}
-
-// busiestWorker materializes the placement of query under the given policy
-// (via a never-started engine) and returns the worker hosting the most
-// instances — the highest-impact failure target.
-func busiestWorker(query string, workers int, placement string) (int, error) {
-	broker := checkmate.NewBroker()
-	for _, topic := range checkmate.QueryTopics(query) {
-		if _, err := broker.CreateTopic(topic, workers); err != nil {
-			return 0, err
-		}
-	}
-	job, err := checkmate.BuildQuery(query, checkmate.QueryConfig{Window: time.Second})
-	if err != nil {
-		return 0, err
-	}
-	p, err := checkmate.ProtocolByName("COOR")
-	if err != nil {
-		return 0, err
-	}
-	eng, err := checkmate.NewEngine(checkmate.EngineConfig{
-		Workers:  workers,
-		Protocol: p,
-		Broker:   broker,
-		Store:    checkmate.NewObjectStore(checkmate.ObjectStoreConfig{}),
-		Recorder: checkmate.NewRecorder(time.Now(), time.Minute, time.Second),
-		Cluster:  checkmate.ClusterConfig{Policy: checkmate.PlacementPolicy(placement)},
-	}, job)
-	if err != nil {
-		return 0, err
-	}
-	topo := eng.Topology()
-	best := 0
-	for w := 1; w < topo.Workers(); w++ {
-		if len(topo.InstancesOn(w)) > len(topo.InstancesOn(best)) {
-			best = w
-		}
-	}
-	return best, nil
 }
 
 // parsePolicy parses the -policy flag: "fixed", "events=<n>" or
@@ -1030,13 +572,6 @@ func printResult(res checkmate.RunResult) {
 			pt.Start.Seconds(), pt.Count,
 			float64(pt.P50)/1e6, float64(pt.P99)/1e6)
 	}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func max64(a, b uint64) uint64 {

@@ -43,29 +43,37 @@ func main() {
 		fmt.Println(eng.Topology().Table())
 	}
 
-	// Part 2: one failure per domain, measured by the recovery harness.
+	// Part 2: one failure per domain; every recovery of the run reports its
+	// RTO phase breakdown.
 	fmt.Println("== Failure domains (warm worker-local cache) ==")
 	for _, domain := range []checkmate.FailureDomain{
 		checkmate.FailWorker, checkmate.FailRack, checkmate.FailRolling,
 	} {
-		pt, err := checkmate.BenchRecovery(checkmate.RecoveryBenchConfig{
-			Query:      *query,
-			Protocol:   p,
-			Workers:    *workers,
-			Domain:     string(domain),
-			LocalCache: true,
-			Duration:   4 * time.Second,
+		res, err := checkmate.Run(checkmate.RunConfig{
+			Query:              *query,
+			Protocol:           p,
+			Workers:            *workers,
+			Rate:               20000,
+			Duration:           4 * time.Second,
+			FailureAt:          1600 * time.Millisecond,
+			CheckpointInterval: 400 * time.Millisecond,
+			FailDomain:         string(domain),
+			LocalCache:         true,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-8s workers %v: detect %.1fms | rollback %.1fms | fetch %.1fms | replay %.1fms | catchup %.1fms | RTO %.1fms\n",
-			domain, pt.FailedWorkers, pt.DetectMs, pt.RollbackMs, pt.FetchMs, pt.ReplayMs, pt.CatchUpMs, pt.RTOMs)
-		fmt.Printf("         restored %.1f KB: %.1f KB from worker-local caches, %.1f KB from the object store (%d cache hits, %d misses)\n",
-			float64(pt.RestoredBytes)/1024, float64(pt.LocalBytes)/1024, float64(pt.RemoteBytes)/1024,
-			pt.CacheHits, pt.CacheMisses)
+		for _, rto := range res.Summary.RTOs {
+			fmt.Printf("%-8s workers %v: detect %.1fms | rollback %.1fms | fetch %.1fms | replay %.1fms | catchup %.1fms | RTO %.1fms\n",
+				domain, rto.FailedWorkers, ms(rto.Detect), ms(rto.Rollback), ms(rto.Fetch), ms(rto.Replay), ms(rto.CatchUp), ms(rto.Total))
+			fmt.Printf("         restored %.1f KB: %.1f KB from worker-local caches, %.1f KB from the object store (%d cache hits, %d misses)\n",
+				float64(rto.RestoredBytes)/1024, float64(rto.LocalBytes)/1024, float64(rto.RemoteBytes)/1024,
+				rto.CacheHits, rto.CacheMisses)
+		}
 	}
 }
+
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // newEngineFor builds an engine solely to materialize its placement
 // topology; it is never started.

@@ -25,15 +25,14 @@ func kvDump(s *statestore.Store) []byte {
 }
 
 // asyncEquivalenceRun drives the keyed-tally workload with a mid-run
-// worker failure under one protocol and snapshot mode, returning the final
-// keyed backend dump of every tally instance plus the run totals.
-func asyncEquivalenceRun(t *testing.T, p Protocol, syncSnapshots bool) (dumps [][]byte, total uint64) {
+// worker failure under one protocol, returning the final keyed backend
+// dump of every tally instance plus the run totals.
+func asyncEquivalenceRun(t *testing.T, p Protocol) (dumps [][]byte, total uint64) {
 	t.Helper()
 	const workers, records = 2, 3000
 	env, job := buildEnv(t, workers, records, 12000)
 	useKeyedTally(job)
 	cfg := env.config(p)
-	cfg.SyncSnapshots = syncSnapshots
 	cfg.DeltaCheckpoints = true
 	cfg.ChainPolicy = statestore.ChainPolicy{MaxDeltas: 4, MaxDeltaFraction: 0.8}
 	eng, err := NewEngine(cfg, job)
@@ -74,9 +73,8 @@ func asyncEquivalenceRun(t *testing.T, p Protocol, syncSnapshots bool) (dumps []
 // asynchronous-snapshot pipeline: across the coordinated (aligned and
 // unaligned) and logging (UNC, CIC) protocol families, a run that fails
 // mid-way and recovers from captured-and-materialized chain blobs ends
-// with byte-identical keyed state to the same run under synchronous
-// snapshots — and both match the input-derived expectation exactly
-// (every key tallied exactly once).
+// with keyed state byte-identical to the input-derived expectation (every
+// key tallied exactly once).
 func TestAsyncSnapshotEquivalence(t *testing.T) {
 	const workers, records = 2, 3000
 	protocols := []Protocol{
@@ -101,20 +99,13 @@ func TestAsyncSnapshotEquivalence(t *testing.T) {
 	for _, p := range protocols {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			asyncDumps, asyncTotal := asyncEquivalenceRun(t, p, false)
-			if want := uint64(records * 2); asyncTotal != want {
-				t.Fatalf("async run total = %d, want %d", asyncTotal, want)
-			}
-			syncDumps, syncTotal := asyncEquivalenceRun(t, p, true)
-			if want := uint64(records * 2); syncTotal != want {
-				t.Fatalf("sync run total = %d, want %d", syncTotal, want)
+			dumps, total := asyncEquivalenceRun(t, p)
+			if want := uint64(records * 2); total != want {
+				t.Fatalf("run total = %d, want %d", total, want)
 			}
 			for idx := 0; idx < workers; idx++ {
-				if !bytes.Equal(asyncDumps[idx], expect[idx]) {
-					t.Fatalf("async keyed state of instance %d diverged from the input-derived expectation", idx)
-				}
-				if !bytes.Equal(asyncDumps[idx], syncDumps[idx]) {
-					t.Fatalf("async and sync snapshot modes restored different keyed state at instance %d", idx)
+				if !bytes.Equal(dumps[idx], expect[idx]) {
+					t.Fatalf("keyed state of instance %d diverged from the input-derived expectation", idx)
 				}
 			}
 		})

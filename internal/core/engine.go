@@ -153,13 +153,6 @@ type Config struct {
 	// phases and WAL fsync batches. A nil tracer costs nothing on the
 	// record path (every tracing call is a no-op on a nil track).
 	Trace *trace.Tracer
-	// SyncSnapshots serializes checkpoint state on the processing goroutine
-	// (the pre-async behaviour) instead of freezing a copy-on-write capture
-	// and materializing it on the worker's uploader. Only the serialization
-	// moves; upload is asynchronous either way. Kept as the A/B baseline
-	// for the pause benchmarks — the default (false) takes the whole
-	// serialize+compress+upload pipeline off the record path.
-	SyncSnapshots bool
 	// Seed derives per-instance jitter.
 	Seed int64
 	// Chaos, when non-nil, is the deterministic fault plane: its windows
@@ -608,7 +601,6 @@ func (e *Engine) buildWorld(line recovery.Line, blobs map[int][][]byte) (*world,
 					} else {
 						it.kv = statestore.New()
 					}
-					it.kvEnc = wire.NewEncoder(make([]byte, 0, 1024))
 					if e.cfg.DeltaCheckpoints {
 						// A fresh chain starts with a full snapshot, so a
 						// rebuilt world never emits deltas against blobs

@@ -45,8 +45,6 @@ var frameClassCaps = [...]int{4096, 2048, 1024, 512, 256}
 type framePoolT struct {
 	classes [len(frameClasses)]chan []byte
 
-	// disabled turns the pool into plain make/drop (A/B benchmarking).
-	disabled atomic.Bool
 	// poison scribbles recycled frames before reuse (debug mode): any
 	// component that retained an alias past delivery reads garbage
 	// immediately instead of corrupting silently.
@@ -70,18 +68,16 @@ func newFramePool() *framePoolT {
 // buffer of the smallest fitting class when one is available.
 func getFrame(n int) []byte {
 	p := framePool
-	if !p.disabled.Load() {
-		for i, c := range frameClasses {
-			if n <= c {
-				select {
-				case b := <-p.classes[i]:
-					p.gets.Add(1)
-					return b[:0]
-				default:
-				}
-				p.misses.Add(1)
-				return make([]byte, 0, c)
+	for i, c := range frameClasses {
+		if n <= c {
+			select {
+			case b := <-p.classes[i]:
+				p.gets.Add(1)
+				return b[:0]
+			default:
 			}
+			p.misses.Add(1)
+			return make([]byte, 0, c)
 		}
 	}
 	return make([]byte, 0, n)
@@ -95,9 +91,6 @@ func getFrame(n int) []byte {
 // collector.
 func putFrame(b []byte) {
 	p := framePool
-	if p.disabled.Load() {
-		return
-	}
 	if p.poison.Load() {
 		// Scribble every offered frame, pooled or not: an alias retained
 		// past the ownership window reads garbage deterministically.
@@ -126,14 +119,6 @@ func putFrame(b []byte) {
 // byte.
 func SetFramePoison(enabled bool) (prev bool) {
 	return framePool.poison.Swap(enabled)
-}
-
-// SetFramePooling enables or disables the frame pool process-wide (enabled
-// by default). Disabling makes every frame a fresh heap allocation — the
-// pre-pool behaviour — which is what A/B allocation benchmarks compare
-// against. Returns the previous setting.
-func SetFramePooling(enabled bool) (prev bool) {
-	return !framePool.disabled.Swap(!enabled)
 }
 
 // FramePoolStats is a snapshot of the process-wide frame pool counters.

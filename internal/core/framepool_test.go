@@ -54,18 +54,3 @@ func TestFramePoisonScribblesRecycledFrames(t *testing.T) {
 		}
 	}
 }
-
-func TestFramePoolingDisabled(t *testing.T) {
-	prev := SetFramePooling(false)
-	defer SetFramePooling(prev)
-	before := ReadFramePoolStats()
-	b := getFrame(512)
-	if cap(b) != 512 {
-		t.Fatalf("disabled pool rounded the allocation: cap %d", cap(b))
-	}
-	putFrame(b)
-	after := ReadFramePoolStats()
-	if after.Puts != before.Puts || after.Gets != before.Gets {
-		t.Fatalf("disabled pool still recycling: %+v -> %+v", before, after)
-	}
-}

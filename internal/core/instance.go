@@ -92,15 +92,13 @@ type instance struct {
 	// implements KeyedStateUser. kvChain drives incremental (base+delta)
 	// persistence of kv when Config.DeltaCheckpoints is set; chainKeys
 	// tracks the object-store keys of the blobs the newest chain spans
-	// (base first, newest last), and kvEnc is the reusable keyed-segment
-	// scratch encoder. chainBroken is set by an upload goroutine when a
-	// chain blob was abandoned (retries exhausted): deltas on top of it
-	// could never be rebuilt, so the next snapshot must start a fresh full
-	// base.
+	// (base first, newest last). chainBroken is set by an upload goroutine
+	// when a chain blob was abandoned (retries exhausted): deltas on top of
+	// it could never be rebuilt, so the next snapshot must start a fresh
+	// full base.
 	kv          *statestore.Store
 	kvChain     *statestore.Chain
 	chainKeys   []string
-	kvEnc       *wire.Encoder
 	chainBroken atomic.Bool
 	// keyBuf holds the instance's object-store key prefix
 	// ("ckpt/<job>/<op>/<idx>/") with spare capacity for the sequence
@@ -762,9 +760,7 @@ func (it *instance) storeKey() string {
 // controller, and builds the checkpoint metadata. The caller appends the
 // channel-state section to job.state and enqueues the job; serialization
 // of the keyed segment, blob assembly, compression and upload all happen
-// on the worker's uploader goroutine. With Config.SyncSnapshots the keyed
-// segment is serialized here instead (the pre-async behaviour, kept as the
-// A/B baseline), and only the upload remains asynchronous.
+// on the worker's uploader goroutine.
 //
 // Blob layout (v2, unchanged): a length-prefixed keyed-state segment first
 // (empty for operators without a backend; a statestore full or delta
@@ -779,7 +775,6 @@ func (it *instance) snapshotState(round uint64, forced bool) *uploadJob {
 	it.flushAllOut(metrics.FlushControl)
 	it.ckptSeq++
 	storeKey := it.storeKey()
-	sync := it.eng.cfg.SyncSnapshots
 	job := &uploadJob{it: it}
 	if it.eng.dlog != nil {
 		// Log-before-checkpoint barrier anchor: the flush above already
@@ -799,24 +794,14 @@ func (it *instance) snapshotState(round uint64, forced bool) *uploadJob {
 			it.chainKeys = it.chainKeys[:0]
 		}
 		var full bool
-		if sync {
-			job.seg, full = it.kvChain.Checkpoint(it.kv)
-		} else {
-			job.capture, full = it.kvChain.CaptureCheckpoint(it.kv)
-		}
+		job.capture, full = it.kvChain.CaptureCheckpoint(it.kv)
 		if full {
 			it.chainKeys = it.chainKeys[:0]
 		}
 		it.chainKeys = append(it.chainKeys, storeKey)
 		job.chainLen = len(it.chainKeys)
 	default:
-		if sync {
-			it.kvEnc.Reset()
-			it.kv.SnapshotFull(it.kvEnc)
-			job.seg = append([]byte(nil), it.kvEnc.Bytes()...)
-		} else {
-			job.capture = it.kv.CaptureFull()
-		}
+		job.capture = it.kv.CaptureFull()
 		it.chainKeys = append(it.chainKeys[:0], storeKey)
 		job.chainLen = 1
 	}
@@ -909,7 +894,7 @@ func (it *instance) takeCheckpoint(round uint64, forced bool) {
 	job.state.Uvarint(0)
 	job.syncDur = time.Since(t0)
 	it.tt.Span("ckpt.capture", round, job.meta.Ref.Seq, ts)
-	it.eng.cfg.Recorder.RecordSyncPause(time.Duration(it.eng.nowNS()), job.syncDur)
+	it.eng.cfg.Recorder.RecordSyncPause(job.syncDur)
 	it.enqueueUpload(job)
 }
 
@@ -924,7 +909,7 @@ func (it *instance) handleUnalignedMarker(m Message, ch int) {
 		job := it.snapshotState(m.Round, false)
 		job.syncDur = time.Since(t0)
 		it.tt.Span("ckpt.capture", m.Round, job.meta.Ref.Seq, ts)
-		it.eng.cfg.Recorder.RecordSyncPause(time.Duration(it.eng.nowNS()), job.syncDur)
+		it.eng.cfg.Recorder.RecordSyncPause(job.syncDur)
 		it.ua = &uaPending{
 			round:      m.Round,
 			job:        job,

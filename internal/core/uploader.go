@@ -28,11 +28,8 @@ import (
 type uploadJob struct {
 	it *instance
 	// capture is the frozen keyed-state view to materialize off-thread; nil
-	// when the operator has no keyed backend or when Config.SyncSnapshots
-	// already serialized the segment on the instance goroutine (seg).
+	// when the operator has no keyed backend.
 	capture *statestore.Capture
-	// seg is the prematerialized keyed segment (sync mode); nil otherwise.
-	seg []byte
 	// chainLen is the length of the base-plus-delta chain this segment
 	// completes, for keyed-snapshot accounting; 0 when the instance has no
 	// keyed backend.
@@ -166,16 +163,15 @@ func (it *instance) processUpload(job *uploadJob, tk *trace.Track) {
 	procStart := time.Now()
 	matStart := procStart
 	ts := tk.Begin()
-	seg := job.seg
+	var seg []byte
 	if job.capture != nil {
 		segEnc := wire.NewEncoder(make([]byte, 0, job.capture.EstimatedBytes()+16))
 		job.capture.MaterializeTo(segEnc)
 		job.capture.Release()
 		seg = segEnc.Bytes()
 	}
-	// Assemble the blob layout (keyed segment first, length-prefixed, then
-	// the state section) exactly as the synchronous path wrote it, so
-	// restore stays oblivious to how the blob was produced.
+	// Assemble the blob layout: the keyed segment first, length-prefixed,
+	// then the state section.
 	enc := wire.NewEncoder(make([]byte, 0, len(seg)+job.state.Len()+8))
 	enc.Bytes2(seg)
 	enc.Raw(job.state.Bytes())

@@ -50,11 +50,11 @@ func TestPlacementEquivalenceQ1(t *testing.T) {
 	}
 }
 
-// TestBenchRecoveryWarmCache smoke-tests the recovery benchmark harness:
-// the RTO breakdown must be internally consistent, and a warm-cache run
-// must fetch strictly fewer remote bytes than it restored, with the
-// remainder served locally.
-func TestBenchRecoveryWarmCache(t *testing.T) {
+// TestRTOWarmCache checks the recovery-time breakdown of one warm-cache
+// failure: the RTO phases must be internally consistent, and the run must
+// fetch strictly fewer remote bytes than it restored, with the remainder
+// served locally.
+func TestRTOWarmCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -62,30 +62,38 @@ func TestBenchRecoveryWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := BenchRecovery(RecoveryBenchConfig{
-		Query:      "q3",
-		Protocol:   proto,
-		Workers:    4,
-		LocalCache: true,
-		Duration:   3 * time.Second,
+	res, err := Run(RunConfig{
+		Query:              "q3",
+		Protocol:           proto,
+		Workers:            4,
+		Rate:               20000,
+		Duration:           3 * time.Second,
+		FailureAt:          1200 * time.Millisecond,
+		CheckpointInterval: 300 * time.Millisecond,
+		LocalCache:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pt.Recovered {
-		t.Fatalf("recovery did not complete: %+v", pt)
+	rtos := res.Summary.RTOs
+	if len(rtos) == 0 {
+		t.Fatal("no recovery recorded")
 	}
-	if pt.RestoredBytes == 0 || pt.LocalBytes+pt.RemoteBytes != pt.RestoredBytes {
-		t.Fatalf("byte accounting broken: %+v", pt)
+	rto := rtos[len(rtos)-1]
+	if rto.Total <= 0 {
+		t.Fatalf("recovery did not complete: %+v", rto)
 	}
-	if pt.RemoteBytes >= pt.RestoredBytes {
-		t.Fatalf("warm cache served nothing: remote %d of %d restored", pt.RemoteBytes, pt.RestoredBytes)
+	if rto.RestoredBytes == 0 || rto.LocalBytes+rto.RemoteBytes != rto.RestoredBytes {
+		t.Fatalf("byte accounting broken: %+v", rto)
 	}
-	if pt.RTOMs <= 0 || pt.DetectMs <= 0 {
-		t.Fatalf("empty RTO breakdown: %+v", pt)
+	if rto.RemoteBytes >= rto.RestoredBytes {
+		t.Fatalf("warm cache served nothing: remote %d of %d restored", rto.RemoteBytes, rto.RestoredBytes)
 	}
-	if pt.ScopeInstances == 0 || pt.ScopeWorkers == 0 {
-		t.Fatalf("no rollback scope reported: %+v", pt)
+	if rto.Detect <= 0 {
+		t.Fatalf("empty RTO breakdown: %+v", rto)
+	}
+	if rto.ScopeInstances == 0 || rto.ScopeWorkers == 0 {
+		t.Fatalf("no rollback scope reported: %+v", rto)
 	}
 }
 

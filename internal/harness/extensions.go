@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"checkmate/internal/core"
@@ -348,336 +347,6 @@ func (s *Suite) ExtensionRollbackScopeTable() (*metrics.Table, error) {
 			fmt.Sprintf("%.1f", res.Scope.AvgScope),
 			res.Scope.MaxScope,
 			fmt.Sprintf("%.2f", res.Scope.AvgDepth))
-	}
-	return t, nil
-}
-
-// PauseTable profiles the checkpoint pause of asynchronous copy-on-write
-// snapshots: a q3 drain (growing join state, the paper's state-heavy
-// query) per protocol — aligned, unaligned and both logging families —
-// with async-on/off A/B rows at full-snapshot and base-plus-delta
-// persistence. The sync rows serialize the keyed store on the processing
-// goroutine (the pre-async behaviour); the async rows only freeze a
-// copy-on-write capture there, so their max/mean sync pause collapses to
-// the gather cost (O(dirty-set) in the delta configuration) while
-// materialize+upload move to the worker's uploader. "ckpt Δp99" is the p99
-// sink-latency penalty of checkpoint-containing seconds over quiet ones.
-func (s *Suite) PauseTable() (*metrics.Table, error) {
-	t := metrics.NewTable("Checkpoint pause profile (q3 drain, 2 workers, 150k records, 100ms interval)",
-		"Protocol", "Delta", "Async", "krec/s", "ckpts", "max pause", "mean pause", "p99 pause", "materialize", "upload", "ckpt Δp99 (ms)")
-	for _, name := range []string{"COOR", "UCOOR", "UNC", "CIC"} {
-		p, err := protocol.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, delta := range []bool{false, true} {
-			for _, sync := range []bool{false, true} {
-				pt, err := BenchThroughput(BenchConfig{
-					Query:              "q3",
-					Protocol:           p,
-					Workers:            2,
-					Records:            150_000,
-					BatchMaxRecords:    64,
-					CheckpointInterval: 100 * time.Millisecond,
-					SyncSnapshots:      sync,
-					DeltaCheckpoints:   delta,
-					Seed:               s.Seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				async := "on"
-				if sync {
-					async = "off"
-				}
-				t.AddRow(pt.Protocol, delta, async,
-					fmt.Sprintf("%.0f", pt.RecordsPerSec/1e3),
-					pt.SyncPauses,
-					fmt.Sprintf("%.2f", pt.MaxSyncPauseMs),
-					fmt.Sprintf("%.3f", pt.MeanSyncPauseMs),
-					fmt.Sprintf("%.2f", pt.P99SyncPauseMs),
-					fmt.Sprintf("%.2f", pt.MeanMaterializeMs),
-					fmt.Sprintf("%.2f", pt.MeanUploadMs),
-					fmt.Sprintf("%.1f", pt.CkptP99DeltaMs))
-			}
-		}
-		s.logf("pause profile %-5s done", name)
-	}
-	return t, nil
-}
-
-// AllocThroughputTable profiles the data plane's allocation behaviour: a
-// q1 drain per protocol and batch size reporting records/second next to
-// allocs/record, bytes/record and GC pause totals, plus a pool-disabled
-// baseline row ("pool off") per protocol at batch 8 so the pooled-versus-
-// unpooled delta is visible on identical code. This is the benchall view of
-// the zero-allocation data plane; BENCH_throughput.json carries the same
-// columns machine-readably.
-func (s *Suite) AllocThroughputTable() (*metrics.Table, error) {
-	t := metrics.NewTable("Data-plane allocation profile (q1 drain, 2 workers, 100k records)",
-		"Protocol", "Batch", "Pool", "krec/s", "allocs/rec", "B/rec", "GCs", "GC pause (ms)")
-	addRow := func(pt BenchPoint, pool string) {
-		t.AddRow(pt.Protocol, pt.BatchMaxRecords, pool,
-			fmt.Sprintf("%.0f", pt.RecordsPerSec/1e3),
-			fmt.Sprintf("%.2f", pt.AllocsPerRecord),
-			fmt.Sprintf("%.0f", pt.BytesPerRecord),
-			pt.GCCycles,
-			fmt.Sprintf("%.2f", pt.GCPauseTotalMs))
-	}
-	for _, name := range []string{"COOR", "UNC", "CIC"} {
-		p, err := protocol.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, batch := range []int{1, 8, 64} {
-			cfg := BenchConfig{
-				Query:           "q1",
-				Protocol:        p,
-				Workers:         2,
-				Records:         100_000,
-				BatchMaxRecords: batch,
-				Seed:            s.Seed,
-			}
-			pt, err := BenchThroughput(cfg)
-			if err != nil {
-				return nil, err
-			}
-			addRow(pt, "on")
-			if batch == 8 {
-				cfg.NoFramePool = true
-				off, err := BenchThroughput(cfg)
-				if err != nil {
-					return nil, err
-				}
-				addRow(off, "off")
-			}
-		}
-		s.logf("alloc profile %-4s done", name)
-	}
-	return t, nil
-}
-
-// ScaleTable sweeps the cores axis: a q1 drain per protocol at GOMAXPROCS
-// 1/2/4/8 (batch 64, so the exchange runs its vectorized fast path),
-// reporting records/second and allocs/record next to the speedup over the
-// same protocol's 1-cpu row. This is the benchall view of the multi-core
-// scale-out work — lock-free SPSC exchange, sharded coordinator, striped
-// msglog; BENCH_throughput.json carries the same grid machine-readably.
-// The physical-core count is printed in the title: GOMAXPROCS beyond it
-// measures oversubscription behaviour (scheduler churn, lock convoying)
-// rather than hardware parallelism.
-func (s *Suite) ScaleTable() (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("Cores-axis scaling (q1 drain, 2 workers, 100k records, batch 64; %d physical cpus)", runtime.NumCPU()),
-		"Protocol", "CPUs", "krec/s", "vs 1 cpu", "allocs/rec", "GCs", "GC pause (ms)")
-	for _, name := range []string{"COOR", "UNC", "CIC"} {
-		p, err := protocol.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		var base1 float64
-		for _, cpus := range []int{1, 2, 4, 8} {
-			pt, err := BenchThroughput(BenchConfig{
-				Query:           "q1",
-				Protocol:        p,
-				Workers:         2,
-				Records:         100_000,
-				BatchMaxRecords: 64,
-				CPUs:            cpus,
-				Seed:            s.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if cpus == 1 {
-				base1 = pt.RecordsPerSec
-			}
-			speedup := 0.0
-			if base1 > 0 {
-				speedup = pt.RecordsPerSec / base1
-			}
-			t.AddRow(pt.Protocol, pt.CPUs,
-				fmt.Sprintf("%.0f", pt.RecordsPerSec/1e3),
-				fmt.Sprintf("%.2fx", speedup),
-				fmt.Sprintf("%.2f", pt.AllocsPerRecord),
-				pt.GCCycles,
-				fmt.Sprintf("%.2f", pt.GCPauseTotalMs))
-		}
-		s.logf("scale sweep %-4s done", name)
-	}
-	return t, nil
-}
-
-// DurableTable measures what real durability costs: a q1 drain per
-// protocol with durability off (the in-memory baseline every other table
-// runs on), with group commit, and with an fsync per WAL commit. COOR
-// never message-logs, so its durable rows pay only the disk object
-// store's fsyncs; the logging families (UNC, CIC) additionally fsync the
-// message-log WAL, and the appends/fsync column is the amortization the
-// group-commit protocol buys back — many concurrent appends riding one
-// fsync instead of one each. BENCH_throughput.json carries the same grid
-// machine-readably.
-func (s *Suite) DurableTable() (*metrics.Table, error) {
-	t := metrics.NewTable("Durability cost (q1 drain, 2 workers, 100k records, batch 8)",
-		"Protocol", "Durability", "krec/s", "vs off", "WAL appends", "WAL fsyncs", "appends/fsync", "WAL MB", "store fsyncs")
-	for _, name := range []string{"COOR", "UNC", "CIC"} {
-		p, err := protocol.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		var baseOff float64
-		for _, mode := range []string{"off", "group", "always"} {
-			cfg := BenchConfig{
-				Query:           "q1",
-				Protocol:        p,
-				Workers:         2,
-				Records:         100_000,
-				BatchMaxRecords: 8,
-				Seed:            s.Seed,
-			}
-			if mode != "off" {
-				cfg.Durable = true
-				cfg.WALSync = mode
-			}
-			pt, err := BenchThroughput(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if mode == "off" {
-				baseOff = pt.RecordsPerSec
-			}
-			rel := 0.0
-			if baseOff > 0 {
-				rel = pt.RecordsPerSec / baseOff
-			}
-			amort := "-"
-			if pt.WALFsyncs > 0 {
-				amort = fmt.Sprintf("%.1f", float64(pt.WALAppends)/float64(pt.WALFsyncs))
-			}
-			t.AddRow(pt.Protocol, mode,
-				fmt.Sprintf("%.0f", pt.RecordsPerSec/1e3),
-				fmt.Sprintf("%.2fx", rel),
-				pt.WALAppends,
-				pt.WALFsyncs,
-				amort,
-				fmt.Sprintf("%.1f", float64(pt.WALBytes)/1e6),
-				pt.StoreFsyncs)
-		}
-		s.logf("durable sweep %-4s done", name)
-	}
-	return t, nil
-}
-
-// TraceOverheadTable measures what the checkpoint-lifecycle span
-// collector costs: a q1 drain per protocol with tracing off (the
-// baseline every other table runs on) and on, reporting the throughput
-// delta, the span volume collected, and the per-record allocation count
-// — which must not move, since the enabled record path stores into
-// preallocated rings and the disabled path is a nil check. The median of
-// three runs damps scheduler noise on shared machines;
-// BENCH_throughput.json carries the same A/B machine-readably.
-func (s *Suite) TraceOverheadTable() (*metrics.Table, error) {
-	t := metrics.NewTable("Tracing overhead (q1 drain, 2 workers, 100k records, batch 8, median of 3)",
-		"Protocol", "Trace", "krec/s", "vs off", "spans", "allocs/rec")
-	for _, name := range []string{"COOR", "UNC", "CIC"} {
-		p, err := protocol.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		var baseOff float64
-		for _, traced := range []bool{false, true} {
-			pt, err := BenchThroughput(BenchConfig{
-				Query:           "q1",
-				Protocol:        p,
-				Workers:         2,
-				Records:         100_000,
-				BatchMaxRecords: 8,
-				Repeat:          3,
-				Trace:           traced,
-				Seed:            s.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			mode := "off"
-			if traced {
-				mode = "on"
-			} else {
-				baseOff = pt.RecordsPerSec
-			}
-			rel := 0.0
-			if baseOff > 0 {
-				rel = pt.RecordsPerSec / baseOff
-			}
-			t.AddRow(pt.Protocol, mode,
-				fmt.Sprintf("%.0f", pt.RecordsPerSec/1e3),
-				fmt.Sprintf("%.2fx", rel),
-				pt.TraceEvents,
-				fmt.Sprintf("%.2f", pt.AllocsPerRecord))
-		}
-		s.logf("trace overhead %-4s done", name)
-	}
-	return t, nil
-}
-
-// SpillTable is the larger-than-memory state backend A/B: a state-heavy
-// q3/q8 drain with keyed state resident (baseline) versus spilled to
-// mmap'd segments under a resident budget far below the working set. The
-// RSS column (peak heap-in-use plus mapped segment bytes) is the bound
-// the spill budget enforces: the spilling rows hold it near the budget
-// while the resident rows grow with total state. Segments/spills/
-// compactions show the LSM-style layer dynamics behind the bound.
-func (s *Suite) SpillTable() (*metrics.Table, error) {
-	t := metrics.NewTable("Spillable keyed state (COOR drain, 2 workers, delta checkpoints, 1 MiB / 4096-entry overlay budget)",
-		"Query", "Spill", "keys", "krec/s", "peak heap MB", "mapped MB", "RSS MB", "resident MB", "segs", "spills", "compactions")
-	p, err := protocol.ByName("COOR")
-	if err != nil {
-		return nil, err
-	}
-	for _, query := range []string{"q3", "q8"} {
-		records := 450_000
-		if query == "q8" {
-			records = 150_000 // q8 drains an order of magnitude slower
-		}
-		for _, spill := range []bool{false, true} {
-			cfg := BenchConfig{
-				Query:              query,
-				Protocol:           p,
-				Workers:            2,
-				Records:            records,
-				BatchMaxRecords:    64,
-				CheckpointInterval: 200 * time.Millisecond,
-				DeltaCheckpoints:   true,
-				Seed:               s.Seed,
-			}
-			if spill {
-				cfg.SpillState = true
-				cfg.SpillMaxMB = 1
-				cfg.SpillMaxEntries = 4096
-			} else {
-				cfg.MemSample = true // resident baseline still reports RSS
-			}
-			pt, err := BenchThroughput(cfg)
-			if err != nil {
-				return nil, err
-			}
-			mode := "off"
-			if spill {
-				mode = "on"
-			}
-			heap := fmt.Sprintf("%.1f", pt.PeakHeapMB)
-			mapped := fmt.Sprintf("%.1f", pt.PeakMappedMB)
-			rss := fmt.Sprintf("%.1f", pt.PeakRSSMB)
-			resident := "-"
-			if spill {
-				resident = fmt.Sprintf("%.2f", pt.SpillResidentMB)
-			}
-			t.AddRow(pt.Query, mode, pt.StateKeys,
-				fmt.Sprintf("%.0f", pt.RecordsPerSec/1e3),
-				heap, mapped, rss, resident,
-				pt.SegmentsPeak, pt.Spills, pt.SpillCompactions)
-		}
-		s.logf("spill table %-3s done", query)
 	}
 	return t, nil
 }

@@ -142,10 +142,6 @@ type RunConfig struct {
 	// (q3/q8/q12 joins and counts, the cyclic join) as base-plus-delta
 	// chains instead of full snapshots per checkpoint.
 	DeltaCheckpoints bool
-	// SyncSnapshots serializes checkpoint state on the processing
-	// goroutine, the pre-async baseline (default: copy-on-write capture +
-	// off-thread materialization, see core.Config.SyncSnapshots).
-	SyncSnapshots bool
 	// SpillState switches the keyed-state backend of backend-using
 	// operators to the spillable backend: a bounded in-memory overlay over
 	// mmap'd on-disk segments, keeping larger-than-memory keyed state
@@ -452,7 +448,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 		DeltaCheckpoints:    cfg.DeltaCheckpoints,
 		StateSpill:          stateSpill,
 		Durability:          durability,
-		SyncSnapshots:       cfg.SyncSnapshots,
 		Cluster: cluster.Config{
 			Workers:    cfg.ClusterWorkers,
 			Policy:     cluster.Policy(cfg.Placement),

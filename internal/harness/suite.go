@@ -368,14 +368,13 @@ func (s *Suite) RecoveryTimeTable() (*metrics.Table, error) {
 	return t, nil
 }
 
-// RTOBreakdownTable reports the median recovery-time-objective (RTO) phase
-// breakdown per protocol from the recovery benchmark harness, with the
-// worker-local state cache cold versus warm — the cluster-aware complement
-// of RecoveryTimeTable: the same failure, split into detection, rollback
-// computation, state fetch, replay and catch-up, plus where the restored
-// bytes came from.
+// RTOBreakdownTable reports the recovery-time-objective (RTO) phase
+// breakdown per protocol, with the worker-local state cache cold versus
+// warm — the cluster-aware complement of RecoveryTimeTable: one failure,
+// split into detection, rollback computation, state fetch, replay and
+// catch-up, plus where the restored bytes came from.
 func (s *Suite) RTOBreakdownTable() (*metrics.Table, error) {
-	t := metrics.NewTable("Recovery benchmark: median RTO per protocol (q3, spread placement, single-worker failure)",
+	t := metrics.NewTable("Recovery time objective per protocol (q3, 4 workers, spread placement, single-worker failure)",
 		"Protocol", "Cache", "Detect", "Rollback", "Fetch", "Replay", "CatchUp", "RTO(ms)", "RemoteKB", "LocalKB")
 	for _, p := range s.checkpointed() {
 		for _, warm := range []bool{false, true} {
@@ -383,28 +382,33 @@ func (s *Suite) RTOBreakdownTable() (*metrics.Table, error) {
 			if warm {
 				label = "warm"
 			}
-			pt, err := BenchRecovery(RecoveryBenchConfig{
-				Query:      "q3",
-				Protocol:   p,
-				Workers:    4,
-				LocalCache: warm,
-				Duration:   s.dur(60),
-				Seed:       s.Seed,
-				Repeat:     3,
-			})
+			cfg := s.base("q3", p, 4)
+			cfg.Rate = 20000
+			cfg.FailureAt = s.dur(18)
+			cfg.LocalCache = warm
+			res, err := Run(cfg)
 			if err != nil {
 				return nil, err
 			}
-			s.logf("RTO %-4s %s cache: %.1f ms (fetch %.1f ms, %d B remote)", p.Name(), label, pt.RTOMs, pt.FetchMs, pt.RemoteBytes)
+			rtos := res.Summary.RTOs
+			if len(rtos) == 0 {
+				return nil, fmt.Errorf("harness: RTO %s/%s cache recorded no recovery", p.Name(), label)
+			}
+			rto := rtos[len(rtos)-1]
+			total := "DNR" // did not catch up within the run
+			if rto.Total > 0 {
+				total = fmt.Sprintf("%.1f", ms(rto.Total))
+			}
+			s.logf("RTO %-4s %s cache: %s ms (fetch %.1f ms, %d B remote)", p.Name(), label, total, ms(rto.Fetch), rto.RemoteBytes)
 			t.AddRow(p.Name(), label,
-				fmt.Sprintf("%.1f", pt.DetectMs),
-				fmt.Sprintf("%.1f", pt.RollbackMs),
-				fmt.Sprintf("%.1f", pt.FetchMs),
-				fmt.Sprintf("%.1f", pt.ReplayMs),
-				fmt.Sprintf("%.1f", pt.CatchUpMs),
-				fmt.Sprintf("%.1f", pt.RTOMs),
-				fmt.Sprintf("%.1f", float64(pt.RemoteBytes)/1024),
-				fmt.Sprintf("%.1f", float64(pt.LocalBytes)/1024))
+				fmt.Sprintf("%.1f", ms(rto.Detect)),
+				fmt.Sprintf("%.1f", ms(rto.Rollback)),
+				fmt.Sprintf("%.1f", ms(rto.Fetch)),
+				fmt.Sprintf("%.1f", ms(rto.Replay)),
+				fmt.Sprintf("%.1f", ms(rto.CatchUp)),
+				total,
+				fmt.Sprintf("%.1f", float64(rto.RemoteBytes)/1024),
+				fmt.Sprintf("%.1f", float64(rto.LocalBytes)/1024))
 		}
 	}
 	return t, nil

@@ -69,11 +69,9 @@ type Recorder struct {
 	notes          []string
 
 	// Asynchronous-snapshot phase accounting: the synchronous capture pause
-	// each checkpoint imposed on its processing goroutine (with the virtual
-	// time it happened at, for correlating latency buckets), and the
+	// each checkpoint imposed on its processing goroutine, and the
 	// off-thread materialize and upload durations.
 	syncPauses     []time.Duration
-	syncPauseMarks []time.Duration
 	materializeDur []time.Duration
 	uploadDur      []time.Duration
 }
@@ -248,13 +246,10 @@ func (r *Recorder) RecordCheckpointDuration(d time.Duration) {
 
 // RecordSyncPause records the synchronous portion of one checkpoint: the
 // time the processing goroutine was stalled capturing state (everything
-// else — serialization, compression, upload — runs off-thread). since is
-// the virtual time offset of the pause, used to mark the latency-timeline
-// buckets checkpoints happened in.
-func (r *Recorder) RecordSyncPause(since, d time.Duration) {
+// else — serialization, compression, upload — runs off-thread).
+func (r *Recorder) RecordSyncPause(d time.Duration) {
 	r.mu.Lock()
 	r.syncPauses = append(r.syncPauses, d)
-	r.syncPauseMarks = append(r.syncPauseMarks, since)
 	r.mu.Unlock()
 }
 
@@ -455,18 +450,13 @@ type Summary struct {
 	// Asynchronous-snapshot pause profile. SyncPauses counts recorded
 	// checkpoint captures; Max/Mean/P99SyncPause characterize the stall the
 	// record path paid per checkpoint, and MeanMaterialize/MeanUpload the
-	// off-thread phases. CkptBucketP99/QuietBucketP99 are the
-	// sample-weighted p99 sink latencies of timeline buckets containing at
-	// least one checkpoint capture versus the checkpoint-free buckets — the
-	// visibility delta a checkpoint round imposes on tail latency.
+	// off-thread phases.
 	SyncPauses      int
 	MaxSyncPause    time.Duration
 	MeanSyncPause   time.Duration
 	P99SyncPause    time.Duration
 	MeanMaterialize time.Duration
 	MeanUpload      time.Duration
-	CkptBucketP99   time.Duration
-	QuietBucketP99  time.Duration
 
 	// RTOs carries the phase breakdown of every recovery of the run, in
 	// failure order (see RTO).
@@ -556,18 +546,6 @@ func (r *Recorder) Summarize(coordinated bool) Summary {
 			}
 		}
 		s.P99SyncPause = Percentile(r.syncPauses, 0.99)
-		marked := make(map[int]bool, len(r.syncPauseMarks))
-		for _, at := range r.syncPauseMarks {
-			i := int(at / r.timeline.bucket)
-			if i < 0 {
-				i = 0
-			}
-			if i >= len(r.timeline.buckets) {
-				i = len(r.timeline.buckets) - 1
-			}
-			marked[i] = true
-		}
-		s.CkptBucketP99, s.QuietBucketP99 = r.timeline.p99Split(marked)
 	}
 	s.MeanMaterialize = avgDur(r.materializeDur)
 	s.MeanUpload = avgDur(r.uploadDur)
@@ -710,33 +688,6 @@ func (t *Timeline) Summarize() TimelineSummary {
 		out.P99 = pct(all, 0.99)
 	}
 	return out
-}
-
-// p99Split computes the sample-weighted p99 latency over two groups of
-// buckets: those whose index is in marked (buckets containing a checkpoint
-// capture) and the rest. Empty groups report 0.
-func (t *Timeline) p99Split(marked map[int]bool) (mk, quiet time.Duration) {
-	var mkSamples, quietSamples []time.Duration
-	for i, rv := range t.buckets {
-		rv.mu.Lock()
-		samples := append([]time.Duration(nil), rv.samples...)
-		rv.mu.Unlock()
-		if len(samples) == 0 {
-			continue
-		}
-		if marked[i] {
-			mkSamples = append(mkSamples, samples...)
-		} else {
-			quietSamples = append(quietSamples, samples...)
-		}
-	}
-	if len(mkSamples) > 0 {
-		mk = Percentile(mkSamples, 0.99)
-	}
-	if len(quietSamples) > 0 {
-		quiet = Percentile(quietSamples, 0.99)
-	}
-	return mk, quiet
 }
 
 // LastQuartileP50 returns the p50 over the last quarter of non-empty

@@ -230,39 +230,17 @@ func TestEmptyPauseBucketsYieldZero(t *testing.T) {
 	if s.MeanSyncPause != 0 || s.MaxSyncPause != 0 || s.P99SyncPause != 0 {
 		t.Fatalf("pause stats = %v/%v/%v, want zeros", s.MeanSyncPause, s.MaxSyncPause, s.P99SyncPause)
 	}
-	if s.CkptBucketP99 != 0 || s.QuietBucketP99 != 0 {
-		t.Fatalf("bucket p99s = %v/%v, want zeros", s.CkptBucketP99, s.QuietBucketP99)
-	}
 }
 
 func TestPauseMarksInEmptyTimeline(t *testing.T) {
-	// Sync pauses recorded but no latency samples at all: both split
-	// groups are empty and must report 0, while the pause percentiles
-	// themselves still compute.
+	// Sync pauses recorded but no latency samples at all: the pause
+	// percentiles still compute.
 	r := NewRecorder(time.Now(), 10*time.Second, time.Second)
-	r.RecordSyncPause(2*time.Second, 5*time.Millisecond)
-	r.RecordSyncPause(100*time.Second, 7*time.Millisecond) // out-of-horizon mark clamps
+	r.RecordSyncPause(5 * time.Millisecond)
+	r.RecordSyncPause(7 * time.Millisecond)
 	s := r.Summarize(true)
 	if s.SyncPauses != 2 || s.P99SyncPause != 7*time.Millisecond {
 		t.Fatalf("pauses = %d p99 = %v", s.SyncPauses, s.P99SyncPause)
-	}
-	if s.CkptBucketP99 != 0 || s.QuietBucketP99 != 0 {
-		t.Fatalf("bucket p99s = %v/%v, want zeros for empty timeline", s.CkptBucketP99, s.QuietBucketP99)
-	}
-}
-
-func TestP99SplitPartitions(t *testing.T) {
-	tl := NewTimeline(4*time.Second, time.Second)
-	tl.Record(500*time.Millisecond, 10*time.Millisecond)  // bucket 0 (marked)
-	tl.Record(1500*time.Millisecond, 30*time.Millisecond) // bucket 1 (quiet)
-	mk, quiet := tl.p99Split(map[int]bool{0: true})
-	if mk != 10*time.Millisecond || quiet != 30*time.Millisecond {
-		t.Fatalf("split = %v/%v", mk, quiet)
-	}
-	// All buckets marked: quiet group empty → 0, not a panic.
-	mk, quiet = tl.p99Split(map[int]bool{0: true, 1: true})
-	if mk != 30*time.Millisecond || quiet != 0 {
-		t.Fatalf("all-marked split = %v/%v", mk, quiet)
 	}
 }
 

@@ -169,7 +169,7 @@ func (d *DurableLog) Stats() Stats {
 }
 
 // WALStats exposes the underlying WAL counters (fsyncs, bytes,
-// segments) for the bench grid.
+// segments) for run summaries and the benchmark.
 func (d *DurableLog) WALStats() wal.Stats { return d.w.Stats() }
 
 // Close flushes and closes the WAL.

@@ -176,8 +176,7 @@ func TestCapturePauseBudget(t *testing.T) {
 	next := uint64(size)
 	churn := func() {
 		// New keys between checkpoints, as a growing join table sees: the
-		// synchronous path then pays its index merge per snapshot, exactly
-		// like the engine's sync mode does.
+		// synchronous path then pays its index merge per snapshot.
 		for k := 0; k < 1000; k++ {
 			s.Put(next, v)
 			next++
