@@ -279,9 +279,12 @@ func BenchmarkAblationCheckpointInterval(b *testing.B) {
 			"Interval(paper-s)", "p50(ms)", "avgCT(ms)", "ckpts", "replayed", "restart(ms)")
 		for _, paperSec := range []float64{2, 6, 15} {
 			res, err := checkmate.Run(checkmate.RunConfig{
-				Query: "q3", Protocol: checkmate.UNC(), Workers: 8,
-				Rate: 20000, Duration: scaled(s, 60), FailureAt: scaled(s, 18),
-				CheckpointInterval: scaled(s, paperSec), Seed: 1,
+				Config: checkmate.EngineConfig{
+					Protocol: checkmate.UNC(), Workers: 8,
+					CheckpointInterval: scaled(s, paperSec), Seed: 1,
+				},
+				Query: "q3", Rate: 20000, Duration: scaled(s, 60),
+				FailureAt: scaled(s, 18),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -306,9 +309,11 @@ func BenchmarkAblationChannelCap(b *testing.B) {
 			"Cap", "p50(ms)", "p99(ms)", "roundCT(ms)")
 		for _, cap := range []int{16, 128, 1024} {
 			res, err := checkmate.Run(checkmate.RunConfig{
-				Query: "q8", Protocol: checkmate.COOR(), Workers: 8,
-				Rate: 20000, Duration: scaled(s, 60),
-				CheckpointInterval: scaled(s, 6), ChannelCap: cap, Seed: 1,
+				Config: checkmate.EngineConfig{
+					Protocol: checkmate.COOR(), Workers: 8,
+					CheckpointInterval: scaled(s, 6), ChannelCap: cap, Seed: 1,
+				},
+				Query: "q8", Rate: 20000, Duration: scaled(s, 60),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -331,9 +336,11 @@ func BenchmarkAblationNetCost(b *testing.B) {
 			"NetFactor", "CIC p50(ms)", "CIC overhead", "lag(ms)")
 		for _, nf := range []int{1, 4, 16} {
 			res, err := checkmate.Run(checkmate.RunConfig{
-				Query: "q1", Protocol: checkmate.CIC(), Workers: 8,
-				Rate: 30000, Duration: scaled(s, 30),
-				CheckpointInterval: scaled(s, 6), NetWorkFactor: nf, Seed: 1,
+				Config: checkmate.EngineConfig{
+					Protocol: checkmate.CIC(), Workers: 8,
+					CheckpointInterval: scaled(s, 6), NetWorkFactor: nf, Seed: 1,
+				},
+				Query: "q1", Rate: 30000, Duration: scaled(s, 30),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -358,10 +365,11 @@ func BenchmarkExtensionQ2Q5(b *testing.B) {
 		for _, q := range []string{"q2", "q5"} {
 			for _, p := range checkmate.AllProtocols() {
 				res, err := checkmate.Run(checkmate.RunConfig{
-					Query: q, Protocol: p, Workers: 4,
-					Rate: 15000, Duration: scaled(s, 30),
-					CheckpointInterval: scaled(s, 6),
-					Window:             scaled(s, 10), Slide: scaled(s, 5), Seed: 1,
+					Config: checkmate.EngineConfig{
+						Protocol: p, Workers: 4, CheckpointInterval: scaled(s, 6), Seed: 1,
+					},
+					Query: q, Rate: 15000, Duration: scaled(s, 30), Window: scaled(s, 10),
+					Slide: scaled(s, 5),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -389,9 +397,12 @@ func BenchmarkExtensionSemantics(b *testing.B) {
 			checkmate.ExactlyOnce, checkmate.AtLeastOnce, checkmate.AtMostOnce,
 		} {
 			res, err := checkmate.Run(checkmate.RunConfig{
-				Query: "q1", Protocol: checkmate.UNC(), Workers: 4,
-				Rate: 15000, Duration: scaled(s, 30), FailureAt: scaled(s, 12),
-				CheckpointInterval: scaled(s, 6), Semantics: sem, Seed: 1,
+				Config: checkmate.EngineConfig{
+					Protocol: checkmate.UNC(), Workers: 4,
+					CheckpointInterval: scaled(s, 6), Semantics: sem, Seed: 1,
+				},
+				Query: "q1", Rate: 15000, Duration: scaled(s, 30),
+				FailureAt: scaled(s, 12),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -420,9 +431,11 @@ func BenchmarkAblationTriggerPolicy(b *testing.B) {
 			"Policy", "ckpts", "invalid", "replayed", "restart(ms)")
 		for _, p := range policies {
 			res, err := checkmate.Run(checkmate.RunConfig{
-				Query: "q12", Protocol: p, Workers: 4,
-				Rate: 15000, Duration: scaled(s, 30), FailureAt: scaled(s, 12),
-				CheckpointInterval: scaled(s, 6), Window: scaled(s, 10), Seed: 1,
+				Config: checkmate.EngineConfig{
+					Protocol: p, Workers: 4, CheckpointInterval: scaled(s, 6), Seed: 1,
+				},
+				Query: "q12", Rate: 15000, Duration: scaled(s, 30),
+				FailureAt: scaled(s, 12), Window: scaled(s, 10),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -447,10 +460,12 @@ func BenchmarkExtensionStraggler(b *testing.B) {
 		for _, p := range []checkmate.Protocol{checkmate.COOR(), checkmate.UNC()} {
 			for _, delay := range []time.Duration{0, 200 * time.Microsecond} {
 				res, err := checkmate.Run(checkmate.RunConfig{
-					Query: "q12", Protocol: p, Workers: 4,
-					Rate: 8000, Duration: scaled(s, 30),
-					CheckpointInterval: scaled(s, 6), Window: scaled(s, 10),
-					StragglerDelay: delay, Seed: 1,
+					Config: checkmate.EngineConfig{
+						Protocol: p, Workers: 4, CheckpointInterval: scaled(s, 6),
+						StragglerDelay: delay, Seed: 1,
+					},
+					Query: "q12", Rate: 8000, Duration: scaled(s, 30),
+					Window: scaled(s, 10),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -474,9 +489,11 @@ func BenchmarkAblationCheckpointGC(b *testing.B) {
 			"GC", "ckpts", "reclaimed", "reclaimedKB")
 		for _, gc := range []bool{false, true} {
 			res, err := checkmate.Run(checkmate.RunConfig{
-				Query: "q3", Protocol: checkmate.UNC(), Workers: 4,
-				Rate: 15000, Duration: scaled(s, 30),
-				CheckpointInterval: scaled(s, 4), CheckpointGC: gc, Seed: 1,
+				Config: checkmate.EngineConfig{
+					Protocol: checkmate.UNC(), Workers: 4,
+					CheckpointInterval: scaled(s, 4), CheckpointGC: gc, Seed: 1,
+				},
+				Query: "q3", Rate: 15000, Duration: scaled(s, 30),
 			})
 			if err != nil {
 				b.Fatal(err)

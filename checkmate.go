@@ -40,7 +40,8 @@
 //		Edges: []checkmate.EdgeSpec{{From: 0, To: 1, Part: checkmate.Hash}},
 //	}
 //	res, err := checkmate.Run(checkmate.RunConfig{
-//		Query: "q1", Protocol: checkmate.UNC(), Workers: 4, Rate: 50_000,
+//		Config: checkmate.EngineConfig{Protocol: checkmate.UNC(), Workers: 4},
+//		Query:  "q1", Rate: 50_000,
 //	})
 //
 // See examples/ for complete programs and bench_test.go for the experiment
@@ -270,7 +271,8 @@ func AllProtocols() []Protocol { return protocol.All() }
 
 // Experiments.
 type (
-	// RunConfig describes a single experiment run.
+	// RunConfig describes a single experiment run: an embedded
+	// EngineConfig plus the workload, rate, length and failure plan.
 	RunConfig = harness.RunConfig
 	// RunResult is the outcome of a run.
 	RunResult = harness.RunResult
@@ -280,7 +282,7 @@ type (
 	Suite = harness.Suite
 	// ChaosPlan is the deterministic fault-injection plan of a run:
 	// windowed store brownouts/outages/latency spikes, WAL fsync stalls
-	// and exchange delay/jitter (RunConfig.Chaos).
+	// and exchange delay/jitter (RunConfig.ChaosPlan).
 	ChaosPlan = chaos.Plan
 	// ChaosWindow is one fault window of a ChaosPlan, offset from engine
 	// start.
@@ -289,12 +291,6 @@ type (
 	// counters, injected faults, watchdog round abandonments and the
 	// degraded-mode ledger (RunResult.Chaos).
 	ChaosStats = core.ChaosStats
-	// RetryConfig tunes the engine's shared store retry policy
-	// (EngineConfig.Retry).
-	RetryConfig = core.RetryConfig
-	// ScenarioConfig selects one named hostile scenario run (see
-	// RunScenario and Scenarios).
-	ScenarioConfig = harness.ScenarioConfig
 	// ScenarioPoint is one machine-readable hostile-scenario measurement,
 	// the unit of the committed BENCH_scenarios.json trajectory.
 	ScenarioPoint = harness.ScenarioPoint
@@ -324,10 +320,14 @@ func Run(cfg RunConfig) (RunResult, error) { return harness.Run(cfg) }
 func FindMST(cfg MSTConfig) (float64, error) { return harness.FindMST(cfg) }
 
 // RunScenario runs one named hostile scenario (deterministic fault
-// injection + failure plan + workload skew) with transactional output and
-// reduces it to a ScenarioPoint carrying the exactly-once verdict — the
-// measurement behind the committed BENCH_scenarios.json baseline.
-func RunScenario(cfg ScenarioConfig) (ScenarioPoint, error) { return harness.RunScenario(cfg) }
+// injection + failure plan + workload skew) over cfg with transactional
+// output and reduces it to a ScenarioPoint carrying the exactly-once
+// verdict — the measurement behind the committed BENCH_scenarios.json
+// baseline. Zero fields of cfg take the scenario defaults (q3, 4 workers,
+// 8000 ev/s, 3 s); the scenario's own settings override cfg.
+func RunScenario(name string, cfg RunConfig) (ScenarioPoint, error) {
+	return harness.RunScenario(name, cfg)
+}
 
 // Scenarios lists the registered hostile-scenario names, sorted.
 func Scenarios() []string { return harness.Scenarios() }
@@ -350,9 +350,8 @@ func ReadFramePoolStats() FramePoolStats { return core.ReadFramePoolStats() }
 
 // Observability: the checkpoint-lifecycle span collector and its exports.
 type (
-	// Tracer is the run-scoped span collector (RunConfig.Trace enables
-	// it; RunResult.Trace carries it; EngineConfig.Trace attaches one to
-	// a custom engine).
+	// Tracer is the run-scoped span collector: set it as
+	// EngineConfig.Trace (or RunConfig.Trace) and export it after the run.
 	Tracer = trace.Tracer
 	// TraceTrack is one goroutine's span timeline within a Tracer.
 	TraceTrack = trace.Track

@@ -34,13 +34,15 @@ func TestProtocolConstructors(t *testing.T) {
 func TestPublicRunEndToEnd(t *testing.T) {
 	for _, q := range []string{"q1", checkmate.QueryCyclic} {
 		res, err := checkmate.Run(checkmate.RunConfig{
+			Config: checkmate.EngineConfig{
+				Protocol: checkmate.UNC(),
+				Workers:  2,
+				Seed:     9,
+			},
 			Query:    q,
-			Protocol: checkmate.UNC(),
-			Workers:  2,
 			Rate:     4000,
 			Duration: 700 * time.Millisecond,
 			Nodes:    1000,
-			Seed:     9,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -156,13 +158,15 @@ func TestPublicRunNewQueries(t *testing.T) {
 	}
 	for _, q := range []string{"q2", "q5", "q11"} {
 		res, err := checkmate.Run(checkmate.RunConfig{
+			Config: checkmate.EngineConfig{
+				Protocol: checkmate.UNC(),
+				Workers:  2,
+				Seed:     3,
+			},
 			Query:    q,
-			Protocol: checkmate.UNC(),
-			Workers:  2,
 			Rate:     6000,
 			Duration: 900 * time.Millisecond,
 			Window:   150 * time.Millisecond,
-			Seed:     3,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -178,13 +182,15 @@ func TestPublicOutputModes(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := checkmate.Run(checkmate.RunConfig{
+		Config: checkmate.EngineConfig{
+			Protocol: checkmate.COOR(),
+			Workers:  2,
+			Output:   checkmate.OutputTransactional,
+			Seed:     3,
+		},
 		Query:    "q1",
-		Protocol: checkmate.COOR(),
-		Workers:  2,
 		Rate:     6000,
 		Duration: 900 * time.Millisecond,
-		Output:   checkmate.OutputTransactional,
-		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,13 +205,15 @@ func TestPublicEventTimeQuery(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := checkmate.Run(checkmate.RunConfig{
+		Config: checkmate.EngineConfig{
+			Protocol: checkmate.UNC(),
+			Workers:  2,
+			Seed:     3,
+		},
 		Query:    "q12et",
-		Protocol: checkmate.UNC(),
-		Workers:  2,
 		Rate:     6000,
 		Duration: 900 * time.Millisecond,
 		Window:   150 * time.Millisecond,
-		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,92 +19,174 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
 
 	"checkmate"
+	"checkmate/internal/wal"
 )
 
+// cliFlags holds the flags that steer the command rather than the run.
+type cliFlags struct {
+	mst, listScenarios                                 bool
+	policy, scenario, benchScenarios                   string
+	cpus                                               int
+	cpuProfile, memProfile, mutexProfile, blockProfile string
+	traceOut, checkTrace                               string
+}
+
+// bindFlags registers every flag on fs: run settings bind straight into
+// cfg, the rest into the returned cliFlags.
+func bindFlags(fs *flag.FlagSet, cfg *checkmate.RunConfig) *cliFlags {
+	c := &cliFlags{}
+	fs.StringVar(&cfg.Query, "query", "q1", "query: q1, q2, q3, q4, q5, q7, q8, q11, q12, q12et or cyclic")
+	bindParsed(fs, &cfg.Protocol, "protocol", "COOR", checkmate.ProtocolByName, "protocol: NONE, COOR, UNC, CIC, UCOOR or BCS")
+	fs.IntVar(&cfg.Workers, "workers", 4, "parallelism (workers)")
+	fs.Float64Var(&cfg.Rate, "rate", 20000, "input rate (events/second)")
+	fs.DurationVar(&cfg.Duration, "duration", 6*time.Second, "run duration")
+	fs.DurationVar(&cfg.FailureAt, "failure-at", 0, "inject a worker failure at this offset (0 = none)")
+	fs.Float64Var(&cfg.HotRatio, "hot", 0, "hot-items ratio (0..1)")
+	fs.DurationVar(&cfg.CheckpointInterval, "interval", 0, "checkpoint interval (default duration/12)")
+	fs.DurationVar(&cfg.Window, "window", 0, "Q8/Q12 tumbling window and Q5 sliding size (default duration/6)")
+	fs.DurationVar(&cfg.Slide, "slide", 0, "Q5 sliding-window step (default window/2)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "workload seed")
+	fs.BoolVar(&c.mst, "mst", false, "search the maximum sustainable throughput instead of a fixed-rate run")
+	fs.IntVar(&cfg.NetWorkFactor, "netcost", 0, "synthetic per-byte network cost factor (0 = default)")
+	bindParsed(fs, &cfg.Semantics, "semantics", "exactly-once", checkmate.SemanticsByName, "processing guarantee for UNC/CIC: exactly-once, at-least-once, at-most-once")
+	fs.StringVar(&c.policy, "policy", "", "UNC trigger policy: fixed, events=<n>, idle=<dur> (default: jittered interval)")
+	fs.DurationVar(&cfg.StragglerDelay, "straggler", 0, "per-event delay injected on one worker (straggler simulation)")
+	fs.BoolVar(&cfg.CheckpointGC, "gc", false, "enable checkpoint garbage collection")
+	fs.Float64Var(&cfg.StoreFailureRate, "store-failure-rate", 0, "transient object-store failure rate (0..1), retried by the engine")
+	bindParsed(fs, &cfg.Output, "output", "none", outputByName, "sink output mode: none, immediate, transactional")
+	fs.BoolVar(&cfg.CompressCheckpoints, "compress", false, "deflate checkpoint blobs before upload")
+	fs.BoolVar(&cfg.DeltaCheckpoints, "delta", false, "incremental (base+delta) checkpoints of keyed operator state")
+	fs.BoolVar(&cfg.AnalyzeRollbackScope, "scope", false, "analyze the single-failure rollback scope after the run (UNC/CIC)")
+	fs.IntVar(&cfg.Batching.MaxRecords, "batch", 0, "exchange batch size in records (0/1 = unbatched)")
+	fs.IntVar(&cfg.Batching.MaxBytes, "batch-bytes", 0, "exchange batch size bound in bytes (0 = default 32KiB)")
+	fs.IntVar(&cfg.Batching.LingerTicks, "batch-linger", 0, "exchange batch linger bound in poll-interval ticks (0 = default 1)")
+	fs.BoolVar(&cfg.StateSpill.Enabled, "spill", false, "run keyed operator state on the spillable backend: bounded in-memory overlay over mmap'd on-disk segments")
+	bindParsed(fs, &cfg.StateSpill.MaxResidentBytes, "spill-max-mb", "0", mebibytes, "per-instance resident-overlay budget in MiB for -spill (0 = backend default, 64)")
+	fs.IntVar(&cfg.StateSpill.MaxOverlayEntries, "spill-max-entries", 0, "per-instance overlay entry budget for -spill (0 = backend default)")
+	fs.StringVar(&cfg.StateSpill.Dir, "spill-dir", "", "directory for spilled state segments; default: a fresh temp dir removed after the run")
+	fs.BoolVar(&cfg.Durability.Enabled, "durable", false, "enable the filesystem durability tier: disk-backed object store plus a WAL behind the message log (UNC/CIC)")
+	fs.StringVar(&cfg.DurableDir, "wal-dir", "", "directory for durable files (blobs/ and wal/); default: a fresh temp dir removed after the run")
+	bindParsed(fs, &cfg.Durability.Sync, "wal-sync", "group", wal.PolicyByName, "WAL sync policy for -durable: always, group or interval")
+	fs.StringVar(&c.scenario, "scenario", "", "run one named hostile scenario (see -scenarios) under -protocol with transactional output and print its point")
+	fs.BoolVar(&c.listScenarios, "scenarios", false, "list the registered hostile scenarios and exit")
+	fs.StringVar(&c.benchScenarios, "bench-scenarios", "", "run the hostile-scenario matrix (scenario x COOR/UNC/CIC) and write machine-readable results to this file")
+
+	fs.IntVar(&cfg.Cluster.Workers, "cluster", 0, "cluster worker count instances are placed on (0 = -workers)")
+	fs.StringVar((*string)(&cfg.Cluster.Policy), "placement", "", "placement policy: spread (default), round-robin, colocate")
+	fs.IntVar(&cfg.FailWorker, "fail-worker", 0, "cluster worker killed at -failure-at (first worker of rack/rolling/flapping domains)")
+	fs.StringVar(&cfg.FailDomain, "fail-domain", "", "failure domain at -failure-at: worker (default), rack, rolling, flapping")
+	fs.IntVar(&cfg.FailRackSize, "rack-size", 0, "blast radius of rack/rolling failure domains (default 2)")
+	fs.IntVar(&cfg.FailCount, "fail-count", 0, "crash count of the flapping failure domain (default 3)")
+	fs.DurationVar(&cfg.FailInterval, "fail-interval", 0, "gap between successive rolling/flapping crashes (default duration/10)")
+	fs.BoolVar(&cfg.Cluster.LocalCache, "local-cache", false, "enable the worker-local state cache (warm recovery on surviving workers)")
+
+	fs.IntVar(&c.cpus, "cpus", 0, "pin runtime.GOMAXPROCS for the run (0 = leave the process setting)")
+
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file on shutdown (clean or SIGINT/SIGTERM)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write an allocation (heap) profile to this file on shutdown (clean or SIGINT/SIGTERM)")
+	fs.StringVar(&c.mutexProfile, "mutexprofile", "", "write a mutex-contention profile to this file on shutdown")
+	fs.StringVar(&c.blockProfile, "blockprofile", "", "write a blocking profile to this file on shutdown")
+
+	fs.StringVar(&c.traceOut, "trace", "", "trace the checkpoint lifecycle and write a Chrome trace-event JSON to this file (load at ui.perfetto.dev)")
+	fs.StringVar(&cfg.HTTPAddr, "http", "", "serve /metrics, /trace.json and /debug/pprof on this address for the duration of the run (e.g. :8080)")
+	fs.StringVar(&c.checkTrace, "check-trace", "", "validate a Chrome trace file written by -trace (JSON parses, spans nest per track) and exit")
+	return c
+}
+
+// parsedFlag is a flag whose text parses into a typed RunConfig field.
+type parsedFlag[T any] struct {
+	dst   *T
+	text  string
+	parse func(string) (T, error)
+}
+
+func (f *parsedFlag[T]) String() string { return f.text }
+
+func (f *parsedFlag[T]) Set(s string) error {
+	v, err := f.parse(s)
+	if err != nil {
+		return err
+	}
+	*f.dst, f.text = v, s
+	return nil
+}
+
+// bindParsed registers a parsedFlag on fs and applies its default.
+func bindParsed[T any](fs *flag.FlagSet, dst *T, name, def string, parse func(string) (T, error), usage string) {
+	f := &parsedFlag[T]{dst: dst, parse: parse}
+	if err := f.Set(def); err != nil {
+		panic(err)
+	}
+	fs.Var(f, name, usage)
+}
+
+// outputByName parses the -output flag.
+func outputByName(s string) (checkmate.OutputMode, error) {
+	for _, m := range []checkmate.OutputMode{checkmate.OutputNone, checkmate.OutputImmediate, checkmate.OutputTransactional} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown output mode %q", s)
+}
+
+// mebibytes parses a MiB count into bytes.
+func mebibytes(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	return n << 20, err
+}
+
+// applyPolicy swaps the -policy trigger policy into the UNC protocol; the
+// trigger policies exist for UNC only.
+func applyPolicy(cfg *checkmate.RunConfig, spec string) error {
+	if spec == "" {
+		return nil
+	}
+	if name := cfg.Protocol.Name(); name != "UNC" {
+		return fmt.Errorf("checkmate: -policy applies to -protocol UNC only, not %s", name)
+	}
+	pol, err := parsePolicy(spec)
+	if err != nil {
+		return err
+	}
+	cfg.Protocol = checkmate.UNCWithPolicy(pol)
+	return nil
+}
+
 func main() {
-	var (
-		query        = flag.String("query", "q1", "query: q1, q2, q3, q4, q5, q7, q8, q11, q12, q12et or cyclic")
-		proto        = flag.String("protocol", "COOR", "protocol: NONE, COOR, UNC, CIC, UCOOR or BCS")
-		workers      = flag.Int("workers", 4, "parallelism (workers)")
-		rate         = flag.Float64("rate", 20000, "input rate (events/second)")
-		duration     = flag.Duration("duration", 6*time.Second, "run duration")
-		failAt       = flag.Duration("failure-at", 0, "inject a worker failure at this offset (0 = none)")
-		hot          = flag.Float64("hot", 0, "hot-items ratio (0..1)")
-		interval     = flag.Duration("interval", 0, "checkpoint interval (default duration/12)")
-		window       = flag.Duration("window", 0, "Q8/Q12 tumbling window and Q5 sliding size (default duration/6)")
-		slide        = flag.Duration("slide", 0, "Q5 sliding-window step (default window/2)")
-		seed         = flag.Int64("seed", 1, "workload seed")
-		mst          = flag.Bool("mst", false, "search the maximum sustainable throughput instead of a fixed-rate run")
-		netWork      = flag.Int("netcost", 0, "synthetic per-byte network cost factor (0 = default)")
-		semantics    = flag.String("semantics", "exactly-once", "processing guarantee for UNC/CIC: exactly-once, at-least-once, at-most-once")
-		policy       = flag.String("policy", "", "UNC trigger policy: fixed, events=<n>, idle=<dur> (default: jittered interval)")
-		straggler    = flag.Duration("straggler", 0, "per-event delay injected on one worker (straggler simulation)")
-		gc           = flag.Bool("gc", false, "enable checkpoint garbage collection")
-		flaky        = flag.Float64("store-failure-rate", 0, "transient object-store failure rate (0..1), retried by the engine")
-		output       = flag.String("output", "none", "sink output mode: none, immediate, transactional")
-		compress     = flag.Bool("compress", false, "deflate checkpoint blobs before upload")
-		delta        = flag.Bool("delta", false, "incremental (base+delta) checkpoints of keyed operator state")
-		scope        = flag.Bool("scope", false, "analyze the single-failure rollback scope after the run (UNC/CIC)")
-		batch        = flag.Int("batch", 0, "exchange batch size in records (0/1 = unbatched)")
-		batchB       = flag.Int("batch-bytes", 0, "exchange batch size bound in bytes (0 = default 32KiB)")
-		batchL       = flag.Int("batch-linger", 0, "exchange batch linger bound in poll-interval ticks (0 = default 1)")
-		spill        = flag.Bool("spill", false, "run keyed operator state on the spillable backend: bounded in-memory overlay over mmap'd on-disk segments")
-		spillMaxMB   = flag.Int("spill-max-mb", 0, "per-instance resident-overlay budget in MiB for -spill (0 = backend default, 64)")
-		spillEntries = flag.Int("spill-max-entries", 0, "per-instance overlay entry budget for -spill (0 = backend default)")
-		spillDir     = flag.String("spill-dir", "", "directory for spilled state segments; default: a fresh temp dir removed after the run")
-		durable      = flag.Bool("durable", false, "enable the filesystem durability tier: disk-backed object store plus a WAL behind the message log (UNC/CIC)")
-		walDir       = flag.String("wal-dir", "", "directory for durable files (blobs/ and wal/); default: a fresh temp dir removed after the run")
-		walSync      = flag.String("wal-sync", "group", "WAL sync policy for -durable: always, group or interval")
-		scenario     = flag.String("scenario", "", "run one named hostile scenario (see -scenarios) under -protocol with transactional output and print its point")
-		listScen     = flag.Bool("scenarios", false, "list the registered hostile scenarios and exit")
-		benchScen    = flag.String("bench-scenarios", "", "run the hostile-scenario matrix (scenario x COOR/UNC/CIC) and write machine-readable results to this file")
-
-		clusterN     = flag.Int("cluster", 0, "cluster worker count instances are placed on (0 = -workers)")
-		placement    = flag.String("placement", "", "placement policy: spread (default), round-robin, colocate")
-		failWorker   = flag.Int("fail-worker", 0, "cluster worker killed at -failure-at (first worker of rack/rolling/flapping domains)")
-		failDomain   = flag.String("fail-domain", "", "failure domain at -failure-at: worker (default), rack, rolling, flapping")
-		rackSize     = flag.Int("rack-size", 0, "blast radius of rack/rolling failure domains (default 2)")
-		failCount    = flag.Int("fail-count", 0, "crash count of the flapping failure domain (default 3)")
-		failInterval = flag.Duration("fail-interval", 0, "gap between successive rolling/flapping crashes (default duration/10)")
-		localCache   = flag.Bool("local-cache", false, "enable the worker-local state cache (warm recovery on surviving workers)")
-
-		cpus = flag.Int("cpus", 0, "pin runtime.GOMAXPROCS for the run (0 = leave the process setting)")
-
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file on shutdown (clean or SIGINT/SIGTERM)")
-		memProfile   = flag.String("memprofile", "", "write an allocation (heap) profile to this file on shutdown (clean or SIGINT/SIGTERM)")
-		mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on shutdown")
-		blockProfile = flag.String("blockprofile", "", "write a blocking profile to this file on shutdown")
-
-		traceOut   = flag.String("trace", "", "trace the checkpoint lifecycle and write a Chrome trace-event JSON to this file (load at ui.perfetto.dev)")
-		httpAddr   = flag.String("http", "", "serve /metrics, /trace.json and /debug/pprof on this address for the duration of the run (e.g. :8080)")
-		checkTrace = flag.String("check-trace", "", "validate a Chrome trace file written by -trace (JSON parses, spans nest per track) and exit")
-	)
+	var cfg checkmate.RunConfig
+	cli := bindFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	if *checkTrace != "" {
-		spans, err := checkmate.ValidateChromeTrace(*checkTrace)
+	if cli.checkTrace != "" {
+		spans, err := checkmate.ValidateChromeTrace(cli.checkTrace)
 		if err != nil {
-			log.Fatalf("checkmate: trace %s: %v", *checkTrace, err)
+			log.Fatalf("checkmate: trace %s: %v", cli.checkTrace, err)
 		}
-		fmt.Printf("%s: %d spans, nesting ok\n", *checkTrace, spans)
+		fmt.Printf("%s: %d spans, nesting ok\n", cli.checkTrace, spans)
 		return
 	}
-	if *listScen {
+	if cli.listScenarios {
 		for _, name := range checkmate.Scenarios() {
 			fmt.Printf("%-24s %s\n", name, checkmate.ScenarioDoc(name))
 		}
+		fmt.Println("\nRun flags reach the scenario cell; the scenario's own settings above win on the fields they set.")
 		return
 	}
-
-	if *cpus > 0 {
-		runtime.GOMAXPROCS(*cpus)
+	if err := applyPolicy(&cfg, cli.policy); err != nil {
+		log.Fatal(err)
 	}
-	stop, err := startProfiles(*cpuProfile, *memProfile, *mutexProfile, *blockProfile)
+
+	if cli.cpus > 0 {
+		runtime.GOMAXPROCS(cli.cpus)
+	}
+	stop, err := startProfiles(cli.cpuProfile, cli.memProfile, cli.mutexProfile, cli.blockProfile)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,39 +204,21 @@ func main() {
 		os.Exit(1)
 	}()
 
-	if *benchScen != "" {
-		if err := runScenarioGrid(*benchScen); err != nil {
+	if cli.benchScenarios != "" {
+		if err := runScenarioGrid(cli.benchScenarios); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	if *scenario != "" {
-		p, err := checkmate.ProtocolByName(*proto)
+	if cli.traceOut != "" {
+		cfg.Trace = checkmate.NewTracer(0)
+	}
+	if cli.scenario != "" {
+		pt, err := checkmate.RunScenario(cli.scenario, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pt, err := checkmate.RunScenario(checkmate.ScenarioConfig{
-			Scenario:           *scenario,
-			Protocol:           p,
-			Query:              *query,
-			Workers:            *workers,
-			Rate:               *rate,
-			Duration:           *duration,
-			CheckpointInterval: *interval,
-			Seed:               *seed,
-			Trace:              *traceOut != "",
-			TracePath:          *traceOut,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *traceOut != "" {
-			spans, verr := checkmate.ValidateChromeTrace(*traceOut)
-			if verr != nil {
-				log.Fatalf("checkmate: trace validation: %v", verr)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", spans, *traceOut)
-		}
+		writeTrace(cfg.Trace, cli.traceOut)
 		printScenarioPoint(pt)
 		if !pt.ExactlyOnce {
 			log.Fatalf("checkmate: scenario %s/%s violated exactly-once: %d duplicate results",
@@ -163,75 +227,9 @@ func main() {
 		return
 	}
 
-	p, err := checkmate.ProtocolByName(*proto)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *policy != "" {
-		pol, perr := parsePolicy(*policy)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		p = checkmate.UNCWithPolicy(pol)
-	}
-	sem, err := checkmate.SemanticsByName(*semantics)
-	if err != nil {
-		log.Fatal(err)
-	}
-	base := checkmate.RunConfig{
-		Query:                *query,
-		Protocol:             p,
-		Workers:              *workers,
-		CPUs:                 *cpus,
-		Rate:                 *rate,
-		Duration:             *duration,
-		FailureAt:            *failAt,
-		HotRatio:             *hot,
-		CheckpointInterval:   *interval,
-		Window:               *window,
-		Slide:                *slide,
-		Seed:                 *seed,
-		NetWorkFactor:        *netWork,
-		Semantics:            sem,
-		StragglerDelay:       *straggler,
-		CheckpointGC:         *gc,
-		StoreFailureRate:     *flaky,
-		CompressCheckpoints:  *compress,
-		DeltaCheckpoints:     *delta,
-		AnalyzeRollbackScope: *scope,
-		BatchMaxRecords:      *batch,
-		BatchMaxBytes:        *batchB,
-		BatchLingerTicks:     *batchL,
-		ClusterWorkers:       *clusterN,
-		Placement:            *placement,
-		FailWorker:           *failWorker,
-		FailDomain:           *failDomain,
-		FailRackSize:         *rackSize,
-		FailCount:            *failCount,
-		FailInterval:         *failInterval,
-		LocalCache:           *localCache,
-		SpillState:           *spill,
-		SpillMaxMB:           *spillMaxMB,
-		SpillMaxEntries:      *spillEntries,
-		SpillDir:             *spillDir,
-		Durable:              *durable,
-		DurableDir:           *walDir,
-		WALSync:              *walSync,
-		Trace:                *traceOut != "",
-		HTTPAddr:             *httpAddr,
-	}
-	switch *output {
-	case "none":
-	case "immediate":
-		base.Output = checkmate.OutputImmediate
-	case "transactional":
-		base.Output = checkmate.OutputTransactional
-	default:
-		log.Fatalf("checkmate: unknown output mode %q", *output)
-	}
-
-	if *mst {
-		v, err := checkmate.FindMST(checkmate.MSTConfig{Base: base, ProbeDuration: *duration / 4})
+	if cli.mst {
+		cfg.Trace = nil // -trace covers single runs, not the search's probes
+		v, err := checkmate.FindMST(checkmate.MSTConfig{Base: cfg, ProbeDuration: cfg.Duration / 4})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -239,24 +237,31 @@ func main() {
 		return
 	}
 
-	res, err := checkmate.Run(base)
+	res, err := checkmate.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *traceOut != "" && res.Trace != nil {
-		if err := res.Trace.WriteChromeFile(*traceOut); err != nil {
-			log.Fatalf("checkmate: write trace: %v", err)
-		}
-		spans, verr := checkmate.ValidateChromeTrace(*traceOut)
-		if verr != nil {
-			log.Fatalf("checkmate: trace validation: %v", verr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", spans, *traceOut)
-	}
+	writeTrace(cfg.Trace, cli.traceOut)
 	printResult(res)
-	if !res.Sustainable && *failAt == 0 {
+	if !res.Sustainable && cfg.FailureAt == 0 {
 		fmt.Fprintln(os.Stderr, "warning: the configured rate was not sustainable")
 	}
+}
+
+// writeTrace exports the run's spans to path as a Chrome trace and
+// re-validates the file (no-op without -trace).
+func writeTrace(tr *checkmate.Tracer, path string) {
+	if path == "" {
+		return
+	}
+	if err := tr.WriteChromeFile(path); err != nil {
+		log.Fatalf("checkmate: write trace: %v", err)
+	}
+	spans, err := checkmate.ValidateChromeTrace(path)
+	if err != nil {
+		log.Fatalf("checkmate: trace validation: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", spans, path)
 }
 
 // startProfiles starts CPU profiling (when cpuPath is set) and enables
@@ -364,10 +369,8 @@ func runScenarioGrid(path string) error {
 			if err != nil {
 				return err
 			}
-			pt, err := checkmate.RunScenario(checkmate.ScenarioConfig{
-				Scenario: name,
-				Protocol: p,
-				Workers:  out.Workers,
+			pt, err := checkmate.RunScenario(name, checkmate.RunConfig{
+				Config:   checkmate.EngineConfig{Protocol: p, Workers: out.Workers},
 				Duration: cellDuration,
 			})
 			if err != nil {
@@ -550,13 +553,13 @@ func printResult(res checkmate.RunResult) {
 		fmt.Printf("  rollback scope:     avg %.1f / max %d of %d instances (avg depth %.2f)\n",
 			res.Scope.AvgScope, res.Scope.MaxScope, res.Scope.Instances, res.Scope.AvgDepth)
 	}
-	if res.Config.SpillState {
+	if res.Config.StateSpill.Enabled {
 		fmt.Printf("  spillable state:    resident %.2f MB, mapped %.2f MB, %d segments; %d spills, %d compactions, %d errors\n",
 			float64(res.Spill.ResidentBytes)/(1<<20), float64(res.Spill.MappedBytes)/(1<<20),
 			res.Spill.Segments, res.Spill.Spills, res.Spill.Compactions, res.Spill.Errors)
 	}
-	if res.Config.Durable {
-		fmt.Printf("  durability:         wal-sync=%s, store fsyncs %d\n", res.Config.WALSync, res.Store.Fsyncs)
+	if res.Config.Durability.Enabled {
+		fmt.Printf("  durability:         wal-sync=%s, store fsyncs %d\n", res.Config.Durability.Sync, res.Store.Fsyncs)
 		if res.WAL.Appends > 0 {
 			amort := float64(res.WAL.Appends) / float64(max64(res.WAL.Fsyncs, 1))
 			fmt.Printf("    wal: %d appends, %d fsyncs (%.1f appends/fsync), %d B written, %d segments, %d recovered\n",

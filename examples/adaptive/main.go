@@ -29,15 +29,17 @@ func main() {
 	fmt.Printf("%-28s %12s %10s %12s %10s\n", "policy", "checkpoints", "invalid", "replayed", "restart")
 	for _, pc := range policies {
 		res, err := checkmate.Run(checkmate.RunConfig{
-			Query:              "q12",
-			Protocol:           pc.p,
-			Workers:            2,
-			Rate:               6000,
-			Duration:           2 * time.Second,
-			FailureAt:          900 * time.Millisecond,
-			CheckpointInterval: 500 * time.Millisecond,
-			Window:             250 * time.Millisecond,
-			Seed:               7,
+			Config: checkmate.EngineConfig{
+				Protocol:           pc.p,
+				Workers:            2,
+				CheckpointInterval: 500 * time.Millisecond,
+				Seed:               7,
+			},
+			Query:     "q12",
+			Rate:      6000,
+			Duration:  2 * time.Second,
+			FailureAt: 900 * time.Millisecond,
+			Window:    250 * time.Millisecond,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -50,15 +50,17 @@ func main() {
 		checkmate.FailWorker, checkmate.FailRack, checkmate.FailRolling,
 	} {
 		res, err := checkmate.Run(checkmate.RunConfig{
-			Query:              *query,
-			Protocol:           p,
-			Workers:            *workers,
-			Rate:               20000,
-			Duration:           4 * time.Second,
-			FailureAt:          1600 * time.Millisecond,
-			CheckpointInterval: 400 * time.Millisecond,
-			FailDomain:         string(domain),
-			LocalCache:         true,
+			Config: checkmate.EngineConfig{
+				Protocol:           p,
+				Workers:            *workers,
+				CheckpointInterval: 400 * time.Millisecond,
+				Cluster:            checkmate.ClusterConfig{LocalCache: true},
+			},
+			Query:      *query,
+			Rate:       20000,
+			Duration:   4 * time.Second,
+			FailureAt:  1600 * time.Millisecond,
+			FailDomain: string(domain),
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -24,8 +24,8 @@ func main() {
 
 	// The coordinated protocol cannot run this query: show the rejection.
 	_, err := checkmate.Run(checkmate.RunConfig{
-		Query: checkmate.QueryCyclic, Protocol: checkmate.COOR(),
-		Workers: *workers, Rate: *rate, Duration: time.Second,
+		Config: checkmate.EngineConfig{Protocol: checkmate.COOR(), Workers: *workers},
+		Query:  checkmate.QueryCyclic, Rate: *rate, Duration: time.Second,
 	})
 	fmt.Printf("COOR on the cyclic query: %v\n\n", err)
 
@@ -35,15 +35,17 @@ func main() {
 		"proto", "reachable", "p50", "avg CT", "restart", "ckpts(inv)")
 	for _, proto := range []checkmate.Protocol{checkmate.UNC(), checkmate.CIC()} {
 		res, err := checkmate.Run(checkmate.RunConfig{
-			Query:              checkmate.QueryCyclic,
-			Protocol:           proto,
-			Workers:            *workers,
-			Rate:               *rate,
-			Duration:           *duration,
-			FailureAt:          *duration * 4 / 5,
-			Nodes:              *nodes,
-			CheckpointInterval: *duration / 10,
-			Seed:               7,
+			Config: checkmate.EngineConfig{
+				Protocol:           proto,
+				Workers:            *workers,
+				CheckpointInterval: *duration / 10,
+				Seed:               7,
+			},
+			Query:     checkmate.QueryCyclic,
+			Rate:      *rate,
+			Duration:  *duration,
+			FailureAt: *duration * 4 / 5,
+			Nodes:     *nodes,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", proto.Name(), err)

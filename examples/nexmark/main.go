@@ -31,14 +31,16 @@ func main() {
 	fmt.Println(header)
 	for _, proto := range checkmate.AllProtocols() {
 		res, err := checkmate.Run(checkmate.RunConfig{
-			Query:              *query,
-			Protocol:           proto,
-			Workers:            *workers,
-			Rate:               *rate,
-			Duration:           *duration,
-			FailureAt:          *duration * 2 / 5,
-			CheckpointInterval: *duration / 10,
-			Seed:               42,
+			Config: checkmate.EngineConfig{
+				Protocol:           proto,
+				Workers:            *workers,
+				CheckpointInterval: *duration / 10,
+				Seed:               42,
+			},
+			Query:     *query,
+			Rate:      *rate,
+			Duration:  *duration,
+			FailureAt: *duration * 2 / 5,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", proto.Name(), err)

@@ -28,14 +28,16 @@ func main() {
 	for _, hot := range []float64{0, 0.1, 0.2, 0.3} {
 		for _, proto := range []checkmate.Protocol{checkmate.COOR(), checkmate.UNC(), checkmate.CIC()} {
 			res, err := checkmate.Run(checkmate.RunConfig{
-				Query:              *query,
-				Protocol:           proto,
-				Workers:            *workers,
-				Rate:               *rate,
-				Duration:           *duration,
-				HotRatio:           hot,
-				CheckpointInterval: *duration / 10,
-				Seed:               11,
+				Config: checkmate.EngineConfig{
+					Protocol:           proto,
+					Workers:            *workers,
+					CheckpointInterval: *duration / 10,
+					Seed:               11,
+				},
+				Query:    *query,
+				Rate:     *rate,
+				Duration: *duration,
+				HotRatio: hot,
 			})
 			if err != nil {
 				log.Fatalf("%s: %v", proto.Name(), err)

@@ -296,15 +296,24 @@ func (b *Budget) allow() bool {
 	return true
 }
 
+// The retry defaults a zero RetryPolicy field takes on first use.
+const (
+	defaultMaxAttempts = 4
+	defaultBaseDelay   = time.Millisecond
+	defaultMaxDelay    = 100 * time.Millisecond
+	defaultMultiplier  = 2
+	defaultJitter      = 0.5
+)
+
 // RetryPolicy runs operations with bounded exponential backoff. The zero
 // value (and a nil pointer) is usable: nil means "one attempt, no retry";
-// a zero-value policy gets the defaults below on first use.
+// a zero-value policy gets the default* values above on first use.
 type RetryPolicy struct {
-	MaxAttempts int           // default 4
-	BaseDelay   time.Duration // default 1ms
-	MaxDelay    time.Duration // default 100ms
-	Multiplier  float64       // default 2
-	Jitter      float64       // +-fraction of each delay, default 0.5
+	MaxAttempts int
+	BaseDelay   time.Duration
+	MaxDelay    time.Duration
+	Multiplier  float64
+	Jitter      float64       // +-fraction of each delay
 	OpDeadline  time.Duration // overall wall-clock cap per Do call; 0 = none
 	Budget      *Budget       // optional shared retry budget
 	Counters    *RetryCounters
@@ -322,21 +331,19 @@ type RetryPolicy struct {
 
 func (p *RetryPolicy) init() {
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
+		p.MaxAttempts = defaultMaxAttempts
 	}
 	if p.BaseDelay <= 0 {
-		p.BaseDelay = time.Millisecond
+		p.BaseDelay = defaultBaseDelay
 	}
 	if p.MaxDelay <= 0 {
-		p.MaxDelay = 100 * time.Millisecond
+		p.MaxDelay = defaultMaxDelay
 	}
 	if p.Multiplier < 1 {
-		p.Multiplier = 2
+		p.Multiplier = defaultMultiplier
 	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.5
-	} else if p.Jitter == 0 {
-		p.Jitter = 0.5
+	if p.Jitter <= 0 || p.Jitter > 1 {
+		p.Jitter = defaultJitter
 	}
 	seed := p.Seed
 	if seed == 0 {

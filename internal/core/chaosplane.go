@@ -26,22 +26,14 @@ import (
 // key, so recovery and GC never see it.
 const chaosProbeKey = "chaos/probe"
 
-// buildRetryPolicy constructs the engine's shared store retry policy from
-// Config.Retry, wiring counters and per-backoff trace spans.
+// buildRetryPolicy constructs the engine's shared store retry policy with
+// the chaos package defaults (4 attempts, backoff doubling from 1ms to a
+// 100ms cap, +-50% jitter, no deadline or budget), wiring counters and
+// per-backoff trace spans.
 func (e *Engine) buildRetryPolicy() *chaos.RetryPolicy {
-	r := e.cfg.Retry
-	var budget *chaos.Budget
-	if r.BudgetTokens > 0 {
-		budget = chaos.NewBudget(r.BudgetTokens, r.BudgetRefillPerSec)
-	}
 	p := &chaos.RetryPolicy{
-		MaxAttempts: r.MaxAttempts,
-		BaseDelay:   r.BaseDelay,
-		MaxDelay:    r.MaxDelay,
-		OpDeadline:  r.OpDeadline,
-		Budget:      budget,
-		Counters:    &e.retryCtr,
-		Seed:        e.cfg.Seed + 0x5eed,
+		Counters: &e.retryCtr,
+		Seed:     e.cfg.Seed + 0x5eed,
 	}
 	if tk := e.retryTrack; tk != nil {
 		p.OnBackoff = func(op string, attempt int, d time.Duration) {

@@ -46,7 +46,7 @@ type coordinator struct {
 	resolvedRound  atomic.Uint64
 
 	// roundsAbandoned counts rounds the watchdog gave up on (stalled past
-	// Config.RoundDeadline without resolving).
+	// roundDeadlineIntervals checkpoint intervals without resolving).
 	roundsAbandoned atomic.Uint64
 
 	mu sync.Mutex
@@ -389,7 +389,8 @@ func (c *coordinator) deleteBlobs(victims []recovery.Meta) {
 	c.eng.cfg.Recorder.AddGCReclaimed(len(victims), bytes)
 }
 
-// watchdog abandons a coordinated round stalled past Config.RoundDeadline.
+// watchdog abandons a coordinated round stalled past
+// roundDeadlineIntervals checkpoint intervals.
 // Reports only happen on successful durable upload, so a round whose
 // uploads were all abandoned (store outage) never resolves — and since
 // rounds never overlap, initiation would stall forever. The watchdog marks
@@ -397,10 +398,7 @@ func (c *coordinator) deleteBlobs(victims []recovery.Meta) {
 // unresolvable round must not anchor recovery or commit output); a late
 // report for it is still harmless, resolution is monotone.
 func (c *coordinator) watchdog() {
-	deadline := c.eng.cfg.RoundDeadline
-	if deadline <= 0 {
-		return
-	}
+	deadline := roundDeadlineIntervals * c.eng.cfg.CheckpointInterval
 	c.mu.Lock()
 	var round uint64
 	if c.initiatedRound > c.resolvedRound.Load() && !c.lastInitiate.IsZero() &&

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,12 +28,6 @@ type Config struct {
 	// Workers is the default parallelism (one worker hosts one parallel
 	// instance of every operator, as in the paper's deployment).
 	Workers int
-	// CPUs pins runtime.GOMAXPROCS when the engine starts, making the
-	// cores axis an explicit experiment knob instead of whatever the
-	// process inherited. 0 leaves the runtime setting untouched. The
-	// setting is process-global; harness layers that sweep the cores axis
-	// restore the previous value around each run.
-	CPUs int
 	// Protocol is the checkpointing protocol under evaluation.
 	Protocol Protocol
 	// CheckpointInterval is the nominal interval between checkpoints
@@ -43,9 +36,6 @@ type Config struct {
 	// ChannelCap bounds each inter-instance queue (records). Determines
 	// backpressure depth.
 	ChannelCap int
-	// FeedbackCap bounds feedback-edge queues. Much larger than ChannelCap
-	// to avoid cyclic-backpressure deadlocks.
-	FeedbackCap int
 	// Broker provides source topics.
 	Broker *mq.Broker
 	// Store persists checkpoints.
@@ -54,8 +44,6 @@ type Config struct {
 	Recorder *metrics.Recorder
 	// DetectionDelay is the failure-detection latency.
 	DetectionDelay time.Duration
-	// DedupCap bounds the per-instance UID dedup ring (UNC/CIC).
-	DedupCap int
 	// PollInterval is the idle-poll resolution for timers and local
 	// checkpoint triggers.
 	PollInterval time.Duration
@@ -161,37 +149,24 @@ type Config struct {
 	// stalls and exchange shaping; plug the same injector into the object
 	// store via objstore.Config.Fault. Nil injects nothing.
 	Chaos *chaos.Injector
-	// Retry shapes the shared store retry policy every store-facing
-	// operation (checkpoint uploads, metadata writes, recovery fetches)
-	// runs under. Zero fields keep the defaults: 4 attempts, 1ms base
-	// delay doubling to a 100ms cap, +-50% jitter, no deadline or budget.
-	Retry RetryConfig
-	// RoundDeadline is the coordinator round watchdog: a coordinated round
-	// still unresolved this long after initiation is abandoned (marked
-	// resolved but never completed) so checkpointing can move on — without
-	// it, a round whose uploads were all abandoned would stall round
-	// initiation forever. <= 0 defaults to 3x CheckpointInterval.
-	RoundDeadline time.Duration
 }
 
-// RetryConfig tunes the engine's shared chaos.RetryPolicy without exposing
-// its non-copyable internals through Config.
-type RetryConfig struct {
-	// MaxAttempts bounds tries per operation (<=0 defaults to 4).
-	MaxAttempts int
-	// BaseDelay is the first backoff sleep (<=0 defaults to 1ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (<=0 defaults to 100ms).
-	MaxDelay time.Duration
-	// OpDeadline caps one operation's total wall-clock time across
-	// retries. 0 disables.
-	OpDeadline time.Duration
-	// BudgetTokens/BudgetRefillPerSec, when BudgetTokens > 0, bound total
-	// retries across all operations with a token bucket, so a dead store
-	// fails fast instead of being hammered.
-	BudgetTokens       float64
-	BudgetRefillPerSec float64
-}
+const (
+	// feedbackCap bounds feedback-edge queues (records): much larger than
+	// ChannelCap to avoid cyclic-backpressure deadlocks.
+	feedbackCap = 1 << 16
+	// dedupCap bounds the per-instance UID dedup ring (UNC/CIC). The
+	// coordinator computes exact replay ranges, so the ring is a safety
+	// net against over-replay; it only needs to cover the in-flight window
+	// of a channel, not the full history.
+	dedupCap = 1 << 14
+	// roundDeadlineIntervals is the coordinator round watchdog, in
+	// checkpoint intervals: a coordinated round still unresolved this long
+	// after initiation is abandoned (marked resolved but never completed)
+	// so checkpointing can move on — without it, a round whose uploads
+	// were all abandoned would stall round initiation forever.
+	roundDeadlineIntervals = 3
+)
 
 // StateSpillConfig selects and budgets the spillable keyed-state backend.
 type StateSpillConfig struct {
@@ -229,20 +204,11 @@ func (c *Config) applyDefaults() {
 	if c.ChannelCap <= 0 {
 		c.ChannelCap = 128
 	}
-	if c.FeedbackCap <= 0 {
-		c.FeedbackCap = 1 << 16
-	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 500 * time.Millisecond
 	}
 	if c.DetectionDelay <= 0 {
 		c.DetectionDelay = 50 * time.Millisecond
-	}
-	if c.DedupCap <= 0 {
-		// The coordinator computes exact replay ranges, so the UID ring is
-		// a safety net against over-replay; it only needs to cover the
-		// in-flight window of a channel, not the full history.
-		c.DedupCap = 1 << 14
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 2 * time.Millisecond
@@ -261,9 +227,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Batching.LingerTicks <= 0 {
 		c.Batching.LingerTicks = 1
-	}
-	if c.RoundDeadline <= 0 {
-		c.RoundDeadline = 3 * c.CheckpointInterval
 	}
 }
 
@@ -480,9 +443,6 @@ func (e *Engine) Start() error {
 	if e.world != nil {
 		return fmt.Errorf("core: engine already started")
 	}
-	if e.cfg.CPUs > 0 {
-		runtime.GOMAXPROCS(e.cfg.CPUs)
-	}
 	e.start = time.Now()
 	// Fault windows are offsets from engine start (first Arm wins, so a
 	// restart within one run does not shift the schedule).
@@ -612,7 +572,7 @@ func (e *Engine) buildWorld(line recovery.Line, blobs map[int][][]byte) (*world,
 				caps := make([]int, len(it.inChans))
 				for i, ic := range it.inChans {
 					if e.job.Edges[ic.edge].Feedback {
-						caps[i] = e.cfg.FeedbackCap
+						caps[i] = feedbackCap
 					} else {
 						caps[i] = e.cfg.ChannelCap
 					}
@@ -626,7 +586,7 @@ func (e *Engine) buildWorld(line recovery.Line, blobs map[int][][]byte) (*world,
 			}
 			it.ctrl = e.cfg.Protocol.NewController(gid, e.total, interval, e.cfg.Seed+int64(gid))
 			if e.exactOnce {
-				it.dedup = dedup.NewSet(e.cfg.DedupCap)
+				it.dedup = dedup.NewSet(dedupCap)
 			}
 			if e.cfg.StragglerDelay > 0 && spec.Source == nil && it.worker == e.topo.Normalize(e.cfg.StragglerWorker) {
 				it.stragglerNS = e.cfg.StragglerDelay.Nanoseconds()

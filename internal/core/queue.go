@@ -86,7 +86,7 @@ type chq interface {
 }
 
 // spscMaxCap bounds the record capacity served by the preallocated SPSC
-// ring. Feedback channels (FeedbackCap, default 64Ki records) fall back to
+// ring. Feedback channels (feedbackCap, 64Ki records) fall back to
 // the growable mutex ring rather than pinning megabytes per channel.
 const spscMaxCap = 4096
 

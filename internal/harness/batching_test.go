@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"checkmate/internal/core"
 	"checkmate/internal/protocol"
 )
 
@@ -23,13 +24,15 @@ func TestBatchedUnbatchedEquivalenceQ1(t *testing.T) {
 					t.Fatal(err)
 				}
 				res, runErr := Run(RunConfig{
-					Query:           "q1",
-					Protocol:        proto,
-					Workers:         2,
-					Rate:            15000,
-					Duration:        1200 * time.Millisecond,
-					Seed:            7,
-					BatchMaxRecords: batch,
+					Config: core.Config{
+						Protocol: proto,
+						Workers:  2,
+						Seed:     7,
+						Batching: core.BatchingConfig{MaxRecords: batch},
+					},
+					Query:    "q1",
+					Rate:     15000,
+					Duration: 1200 * time.Millisecond,
 				})
 				if runErr != nil {
 					t.Fatal(runErr)

@@ -28,10 +28,12 @@ func TestChaosOutageExactlyOnce(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(RunConfig{
-				Query: "q1", Protocol: p, Workers: 2, Rate: 8000,
-				Duration: 1500 * time.Millisecond, CheckpointInterval: 200 * time.Millisecond,
-				Output: core.OutputTransactional, Seed: 7,
-				Chaos: chaos.Plan{
+				Config: core.Config{
+					Protocol: p, Workers: 2, CheckpointInterval: 200 * time.Millisecond,
+					Output: core.OutputTransactional, Seed: 7,
+				},
+				Query: "q1", Rate: 8000, Duration: 1500 * time.Millisecond,
+				ChaosPlan: chaos.Plan{
 					Outage: []chaos.Window{{At: 500 * time.Millisecond, For: 300 * time.Millisecond}},
 				},
 			})
@@ -65,11 +67,14 @@ func TestChaosOutageExactlyOnce(t *testing.T) {
 // throughout.
 func TestChaosDegradedSuspendResume(t *testing.T) {
 	res, err := Run(RunConfig{
-		Query: "q1", Protocol: protocol.Coordinated{}, Workers: 2, Rate: 8000,
-		Duration: 2200 * time.Millisecond, CheckpointInterval: 200 * time.Millisecond,
-		Output: core.OutputTransactional, Seed: 7,
+		Config: core.Config{
+			Protocol: protocol.Coordinated{}, Workers: 2,
+			CheckpointInterval: 200 * time.Millisecond, Output: core.OutputTransactional,
+			Seed: 7,
+		},
+		Query: "q1", Rate: 8000, Duration: 2200 * time.Millisecond,
 		FailureAt: 1800 * time.Millisecond,
-		Chaos: chaos.Plan{
+		ChaosPlan: chaos.Plan{
 			Outage: []chaos.Window{{At: 600 * time.Millisecond, For: 500 * time.Millisecond}},
 		},
 	})
@@ -105,10 +110,12 @@ func TestChaosDegradedSuspendResume(t *testing.T) {
 // forever.
 func TestChaosRoundWatchdog(t *testing.T) {
 	res, err := Run(RunConfig{
-		Query: "q1", Protocol: protocol.Coordinated{}, Workers: 2, Rate: 8000,
-		Duration: 1500 * time.Millisecond, CheckpointInterval: 150 * time.Millisecond,
-		Seed: 7,
-		Chaos: chaos.Plan{
+		Config: core.Config{
+			Protocol: protocol.Coordinated{}, Workers: 2,
+			CheckpointInterval: 150 * time.Millisecond, Seed: 7,
+		},
+		Query: "q1", Rate: 8000, Duration: 1500 * time.Millisecond,
+		ChaosPlan: chaos.Plan{
 			Outage: []chaos.Window{{At: 100 * time.Millisecond, For: 2 * time.Second}},
 		},
 	})
@@ -135,9 +142,11 @@ func TestChaosFlappingWorkerExactlyOnce(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(RunConfig{
-				Query: "q1", Protocol: p, Workers: 2, Rate: 8000,
-				Duration: 1800 * time.Millisecond, CheckpointInterval: 200 * time.Millisecond,
-				Output: core.OutputTransactional, Seed: 7,
+				Config: core.Config{
+					Protocol: p, Workers: 2, CheckpointInterval: 200 * time.Millisecond,
+					Output: core.OutputTransactional, Seed: 7,
+				},
+				Query: "q1", Rate: 8000, Duration: 1800 * time.Millisecond,
 				FailDomain: "flapping", FailWorker: 1, FailCount: 3,
 				FailureAt: 400 * time.Millisecond, FailInterval: 250 * time.Millisecond,
 			})
@@ -179,15 +188,20 @@ func TestChaosScenarioRegistry(t *testing.T) {
 			t.Fatalf("scenario %s has no doc", want[i])
 		}
 	}
-	if _, err := RunScenario(ScenarioConfig{Scenario: "nope", Protocol: protocol.Coordinated{}}); err == nil ||
+	if _, err := RunScenario("nope", RunConfig{Config: core.Config{Protocol: protocol.Coordinated{}}}); err == nil ||
 		!strings.Contains(err.Error(), "unknown scenario") {
 		t.Fatalf("unknown scenario error = %v", err)
 	}
-	if _, err := RunScenario(ScenarioConfig{Scenario: "store-outage", Protocol: protocol.None{}}); err == nil {
+	if _, err := RunScenario("store-outage", RunConfig{Config: core.Config{Protocol: protocol.None{}}}); err == nil {
 		t.Fatal("NONE protocol must be rejected: scenarios assert exactly-once")
 	}
-	if _, err := RunScenario(ScenarioConfig{Scenario: "store-outage"}); err == nil {
+	if _, err := RunScenario("store-outage", RunConfig{}); err == nil {
 		t.Fatal("missing protocol must be rejected")
+	}
+	if _, err := RunScenario("store-outage", RunConfig{
+		Config: core.Config{Protocol: protocol.Coordinated{}, Output: core.OutputImmediate},
+	}); err == nil || !strings.Contains(err.Error(), "transactional") {
+		t.Fatalf("immediate output must be rejected: scenarios assert exactly-once; err = %v", err)
 	}
 }
 
@@ -195,9 +209,9 @@ func TestChaosScenarioRegistry(t *testing.T) {
 // store-brownout cell must complete exactly-once with faults actually
 // injected.
 func TestChaosScenarioBrownoutSmoke(t *testing.T) {
-	pt, err := RunScenario(ScenarioConfig{
-		Scenario: "store-brownout", Protocol: protocol.Coordinated{},
-		Query: "q1", Workers: 2, Rate: 6000, Duration: 1200 * time.Millisecond, Seed: 7,
+	pt, err := RunScenario("store-brownout", RunConfig{
+		Config: core.Config{Protocol: protocol.Coordinated{}, Workers: 2, Seed: 7},
+		Query:  "q1", Rate: 6000, Duration: 1200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,9 +230,9 @@ func TestChaosScenarioBrownoutSmoke(t *testing.T) {
 // TestChaosScenarioFlappingSmoke is the second CI -race smoke: one short
 // flapping-worker cell, all flaps recovered, exactly-once.
 func TestChaosScenarioFlappingSmoke(t *testing.T) {
-	pt, err := RunScenario(ScenarioConfig{
-		Scenario: "flapping-worker", Protocol: protocol.Uncoordinated{},
-		Query: "q1", Workers: 2, Rate: 6000, Duration: 1600 * time.Millisecond, Seed: 7,
+	pt, err := RunScenario("flapping-worker", RunConfig{
+		Config: core.Config{Protocol: protocol.Uncoordinated{}, Workers: 2, Seed: 7},
+		Query:  "q1", Rate: 6000, Duration: 1600 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,9 +248,9 @@ func TestChaosScenarioFlappingSmoke(t *testing.T) {
 // TestChaosScenarioOutageDegrades checks the store-outage scenario actually
 // exercises the degraded path at its default shape.
 func TestChaosScenarioOutageDegrades(t *testing.T) {
-	pt, err := RunScenario(ScenarioConfig{
-		Scenario: "store-outage", Protocol: protocol.Coordinated{},
-		Query: "q1", Workers: 2, Rate: 6000, Duration: 1500 * time.Millisecond, Seed: 7,
+	pt, err := RunScenario("store-outage", RunConfig{
+		Config: core.Config{Protocol: protocol.Coordinated{}, Workers: 2, Seed: 7},
+		Query:  "q1", Rate: 6000, Duration: 1500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,5 +263,39 @@ func TestChaosScenarioOutageDegrades(t *testing.T) {
 	}
 	if pt.Records == 0 {
 		t.Fatal("store-outage produced no output")
+	}
+}
+
+// TestScenarioKeepsRunConfig checks a scenario cell runs the caller's
+// configuration: scenario defaults fill only zero fields, the scenario's
+// own mutation wins on the fields it sets, and every other setting — here
+// the exchange batch size — reaches the run.
+func TestScenarioKeepsRunConfig(t *testing.T) {
+	cfg, err := scenarioRunConfig("straggler-skew", RunConfig{
+		Config: core.Config{
+			Protocol: protocol.Coordinated{}, Workers: 2, Seed: 7,
+			Batching: core.BatchingConfig{MaxRecords: 16},
+		},
+		Query: "q1", Rate: 6000, Duration: time.Second, HotRatio: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Query != "q1" || cfg.Workers != 2 || cfg.Output != core.OutputTransactional {
+		t.Fatalf("defaults overrode set fields or missed zero ones: query=%s workers=%d output=%v",
+			cfg.Query, cfg.Workers, cfg.Output)
+	}
+	if cfg.HotRatio != 0.8 {
+		t.Fatalf("hot ratio = %v, want the scenario's 0.8", cfg.HotRatio)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Summary.AvgBatchRecords; got <= 1 {
+		t.Fatalf("batch size 16 did not reach the scenario run: %.2f rec/batch", got)
+	}
+	if res.DuplicateUIDs != 0 {
+		t.Fatalf("scenario cell published %d duplicate results", res.DuplicateUIDs)
 	}
 }

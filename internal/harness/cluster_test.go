@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"checkmate/internal/cluster"
+	"checkmate/internal/core"
 	"checkmate/internal/protocol"
 )
 
@@ -23,14 +25,15 @@ func TestPlacementEquivalenceQ1(t *testing.T) {
 					t.Fatal(err)
 				}
 				res, runErr := Run(RunConfig{
-					Query:          "q1",
-					Protocol:       proto,
-					Workers:        2,
-					Rate:           15000,
-					Duration:       1200 * time.Millisecond,
-					Seed:           7,
-					ClusterWorkers: 3,
-					Placement:      placement,
+					Config: core.Config{
+						Protocol: proto,
+						Workers:  2,
+						Seed:     7,
+						Cluster:  cluster.Config{Workers: 3, Policy: cluster.Policy(placement)},
+					},
+					Query:    "q1",
+					Rate:     15000,
+					Duration: 1200 * time.Millisecond,
 				})
 				if runErr != nil {
 					t.Fatal(runErr)
@@ -63,14 +66,16 @@ func TestRTOWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(RunConfig{
-		Query:              "q3",
-		Protocol:           proto,
-		Workers:            4,
-		Rate:               20000,
-		Duration:           3 * time.Second,
-		FailureAt:          1200 * time.Millisecond,
-		CheckpointInterval: 300 * time.Millisecond,
-		LocalCache:         true,
+		Config: core.Config{
+			Protocol:           proto,
+			Workers:            4,
+			CheckpointInterval: 300 * time.Millisecond,
+			Cluster:            cluster.Config{LocalCache: true},
+		},
+		Query:     "q3",
+		Rate:      20000,
+		Duration:  3 * time.Second,
+		FailureAt: 1200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,17 +114,19 @@ func TestRollingFailureDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(RunConfig{
+		Config: core.Config{
+			Protocol: proto,
+			Workers:  4,
+			Cluster:  cluster.Config{LocalCache: true},
+			Seed:     7,
+		},
 		Query:        "q1",
-		Protocol:     proto,
-		Workers:      4,
 		Rate:         15000,
 		Duration:     4 * time.Second,
 		FailureAt:    time.Second,
 		FailDomain:   "rolling",
 		FailRackSize: 2,
 		FailInterval: 1200 * time.Millisecond,
-		LocalCache:   true,
-		Seed:         7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"checkmate/internal/core"
 	"checkmate/internal/protocol"
 )
 
@@ -21,12 +22,12 @@ func TestDeltaCheckpointingReducesCheckpointBytes(t *testing.T) {
 		q := q
 		t.Run(q, func(t *testing.T) {
 			res := quickRun(t, RunConfig{
-				Query: q, Protocol: protocol.Uncoordinated{}, Workers: 2, Rate: 6000,
-				Duration:           2 * time.Second,
-				CheckpointInterval: 80 * time.Millisecond,
-				Window:             time.Second,
-				DeltaCheckpoints:   true,
-				Seed:               11,
+				Config: core.Config{
+					Protocol: protocol.Uncoordinated{}, Workers: 2,
+					CheckpointInterval: 80 * time.Millisecond, DeltaCheckpoints: true,
+					Seed: 11,
+				},
+				Query: q, Rate: 6000, Duration: 2 * time.Second, Window: time.Second,
 			})
 			sum := res.Summary
 			if sum.SinkCount == 0 {
@@ -58,11 +59,12 @@ func TestDeltaCheckpointingSurvivesFailure(t *testing.T) {
 		t.Skip("integration run is slow")
 	}
 	res := quickRun(t, RunConfig{
-		Query: "q3", Protocol: protocol.Uncoordinated{}, Workers: 2, Rate: 4000,
-		Duration: 1200 * time.Millisecond, FailureAt: 400 * time.Millisecond,
-		CheckpointInterval: 100 * time.Millisecond,
-		DeltaCheckpoints:   true,
-		Seed:               7,
+		Config: core.Config{
+			Protocol: protocol.Uncoordinated{}, Workers: 2,
+			CheckpointInterval: 100 * time.Millisecond, DeltaCheckpoints: true, Seed: 7,
+		},
+		Query: "q3", Rate: 4000, Duration: 1200 * time.Millisecond,
+		FailureAt: 400 * time.Millisecond,
 	})
 	if res.Summary.Failures != 1 {
 		t.Fatalf("failures = %d", res.Summary.Failures)

@@ -19,8 +19,8 @@ func TestRunQ2EndToEnd(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(RunConfig{
-				Query: "q2", Protocol: p, Workers: 2, Rate: 5000,
-				Duration: 1200 * time.Millisecond, Seed: 11,
+				Config: core.Config{Protocol: p, Workers: 2, Seed: 11},
+				Query:  "q2", Rate: 5000, Duration: 1200 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -45,9 +45,10 @@ func TestRunQ5EndToEnd(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := Run(RunConfig{
-		Query: "q5", Protocol: protocol.Uncoordinated{}, Workers: 2, Rate: 5000,
-		Duration: 1500 * time.Millisecond, FailureAt: 500 * time.Millisecond,
-		Window: 200 * time.Millisecond, Slide: 100 * time.Millisecond, Seed: 5,
+		Config: core.Config{Protocol: protocol.Uncoordinated{}, Workers: 2, Seed: 5},
+		Query:  "q5", Rate: 5000, Duration: 1500 * time.Millisecond,
+		FailureAt: 500 * time.Millisecond, Window: 200 * time.Millisecond,
+		Slide: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +68,9 @@ func TestRunQ11EndToEnd(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := Run(RunConfig{
-		Query: "q11", Protocol: protocol.Uncoordinated{}, Workers: 2, Rate: 5000,
-		Duration: 1500 * time.Millisecond, FailureAt: 600 * time.Millisecond,
-		SessionGap: 50 * time.Millisecond, Seed: 13,
+		Config: core.Config{Protocol: protocol.Uncoordinated{}, Workers: 2, Seed: 13},
+		Query:  "q11", Rate: 5000, Duration: 1500 * time.Millisecond,
+		FailureAt: 600 * time.Millisecond, SessionGap: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +90,9 @@ func TestRunQ5Coordinated(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := Run(RunConfig{
-		Query: "q5", Protocol: protocol.Coordinated{}, Workers: 2, Rate: 4000,
-		Duration: 1200 * time.Millisecond, Window: 200 * time.Millisecond,
-		Slide: 100 * time.Millisecond, Seed: 3,
+		Config: core.Config{Protocol: protocol.Coordinated{}, Workers: 2, Seed: 3},
+		Query:  "q5", Rate: 4000, Duration: 1200 * time.Millisecond,
+		Window: 200 * time.Millisecond, Slide: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +114,8 @@ func TestRunQ4EndToEnd(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			cfg := RunConfig{
-				Query: "q4", Protocol: p, Workers: 2, Rate: 5000,
-				Duration: 1500 * time.Millisecond, Seed: 11,
+				Config: core.Config{Protocol: p, Workers: 2, Seed: 11},
+				Query:  "q4", Rate: 5000, Duration: 1500 * time.Millisecond,
 			}
 			if p.Kind() != core.KindNone {
 				cfg.FailureAt = 600 * time.Millisecond
@@ -144,8 +145,9 @@ func TestRunQ7EndToEnd(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(RunConfig{
-				Query: "q7", Protocol: p, Workers: 2, Rate: 5000,
-				Duration: 1200 * time.Millisecond, Window: 150 * time.Millisecond, Seed: 11,
+				Config: core.Config{Protocol: p, Workers: 2, Seed: 11},
+				Query:  "q7", Rate: 5000, Duration: 1200 * time.Millisecond,
+				Window: 150 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -175,8 +177,9 @@ func TestRunQ12ETEndToEnd(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			cfg := RunConfig{
-				Query: "q12et", Protocol: p, Workers: 2, Rate: 5000,
-				Duration: 1500 * time.Millisecond, Window: 150 * time.Millisecond, Seed: 11,
+				Config: core.Config{Protocol: p, Workers: 2, Seed: 11},
+				Query:  "q12et", Rate: 5000, Duration: 1500 * time.Millisecond,
+				Window: 150 * time.Millisecond,
 			}
 			if p.Kind() == core.KindUncoordinated {
 				cfg.FailureAt = 600 * time.Millisecond

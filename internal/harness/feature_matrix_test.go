@@ -28,10 +28,12 @@ func TestCrossFeatureMatrix(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					res, err := Run(RunConfig{
-						Query: "q12", Protocol: p, Workers: 2, Rate: 3000,
-						Duration: 1200 * time.Millisecond, FailureAt: 500 * time.Millisecond,
-						Window: 200 * time.Millisecond, Semantics: sem,
-						CheckpointGC: gc, Seed: 17,
+						Config: core.Config{
+							Protocol: p, Workers: 2, Semantics: sem, CheckpointGC: gc,
+							Seed: 17,
+						},
+						Query: "q12", Rate: 3000, Duration: 1200 * time.Millisecond,
+						FailureAt: 500 * time.Millisecond, Window: 200 * time.Millisecond,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -30,20 +29,26 @@ import (
 // QueryCyclic names the cyclic reachability query in RunConfig.Query.
 const QueryCyclic = "cyclic"
 
-// RunConfig describes a single experiment run.
+// RunConfig describes a single experiment run: the engine configuration,
+// embedded so every engine setting lives in one field (cfg.Workers,
+// cfg.Protocol, cfg.Batching, ...), plus the experiment settings the
+// engine does not have — workload, input rate and length, failure and
+// fault plans.
+//
+// Run owns the engine's wiring and the timings it derives from Duration:
+// Broker, Store, Recorder, Chaos, DetectionDelay, CatchUpLag and
+// Durability.WALDir must be left zero (Run rejects a preset one; the WAL
+// goes under DurableDir). Trace, when set, is the caller's span
+// collector: it feeds Summary.RoundPhases and stays with the caller for
+// export. StateSpill needs no Dir (a fresh temporary directory when
+// empty). An empty Durability.Sync is the engine's group commit.
 type RunConfig struct {
+	core.Config
+
 	// Query is one of q1, q2, q3, q4, q5, q7, q8, q11, q12, q12et or
 	// "cyclic". The paper evaluates q1/q3/q8/q12; the rest are
 	// workload-library extensions (q12et is the event-time twin of q12).
 	Query string
-	// Protocol is the checkpointing protocol.
-	Protocol core.Protocol
-	// Workers is the parallelism (one worker per parallel instance).
-	Workers int
-	// CPUs pins runtime.GOMAXPROCS for the run (restored afterwards),
-	// making the cores axis an explicit experiment dimension. 0 keeps the
-	// process setting.
-	CPUs int
 	// Rate is the total input event rate (events/second).
 	Rate float64
 	// Duration is the measured run length (the paper's 60 s, possibly
@@ -68,21 +73,8 @@ type RunConfig struct {
 	FailInterval time.Duration
 	// FailCount is how many times a flapping worker crashes (default 3).
 	FailCount int
-	// ClusterWorkers is the simulated cluster size instances are placed
-	// on (0 = Workers, the legacy one-worker-per-parallel-instance
-	// model).
-	ClusterWorkers int
-	// Placement selects the instance→worker placement policy: "spread"
-	// (default), "round-robin" or "colocate".
-	Placement string
-	// LocalCache enables the worker-local state cache: recovery on
-	// surviving workers restores checkpoint state from worker memory
-	// instead of the object store.
-	LocalCache bool
 	// HotRatio is the NexMark hot-items ratio (0 = uniform).
 	HotRatio float64
-	// CheckpointInterval is the protocol checkpoint interval.
-	CheckpointInterval time.Duration
 	// Window is the tumbling window of Q8/Q12 and the sliding-window size
 	// of Q5.
 	Window time.Duration
@@ -93,111 +85,30 @@ type RunConfig struct {
 	SessionGap time.Duration
 	// Nodes is the cyclic query's node universe.
 	Nodes uint64
-	// Seed drives all deterministic randomness.
-	Seed int64
-	// NetWorkFactor is the synthetic per-byte network cost factor.
-	NetWorkFactor int
-	// StorePutLatency / StoreGetLatency configure the checkpoint store.
-	StorePutLatency time.Duration
-	StoreGetLatency time.Duration
-	// ChannelCap bounds inter-instance queues.
-	ChannelCap int
-	// LagThreshold decides sustainability; defaults to 4% of Duration.
-	LagThreshold time.Duration
-	// DrainGrace extends the run after Duration to let in-flight records
-	// drain into the latency timeline.
-	DrainGrace time.Duration
-	// Semantics selects the processing guarantee for the logging protocols
-	// (default exactly-once).
-	Semantics core.Semantics
-	// StragglerDelay injects per-event processing delay on one worker's
-	// instances (straggler simulation); 0 disables.
-	StragglerDelay time.Duration
-	// StragglerWorker selects the straggling worker.
-	StragglerWorker int
-	// CheckpointGC enables checkpoint garbage collection in the store.
-	CheckpointGC bool
 	// StoreFailureRate injects transient object-store errors (0..1); the
 	// engine retries them.
 	StoreFailureRate float64
-	// Chaos is the deterministic fault plan for the run: windowed store
-	// brownouts/outages/latency spikes, WAL fsync stalls and exchange
-	// delay/jitter, armed at engine start. The zero plan injects nothing.
-	Chaos chaos.Plan
-	// RoundDeadline overrides the coordinator round watchdog deadline
-	// (0 = engine default of 3x CheckpointInterval).
-	RoundDeadline time.Duration
-	// Output selects sink-output collection: none (default), immediate
-	// (duplicates visible after failures), or transactional (exactly-once
-	// output via epoch commit).
-	Output core.OutputMode
-	// WatermarkInterval enables event-time watermark flow (required by the
-	// q12et event-time query; defaulted automatically for it).
-	WatermarkInterval time.Duration
-	// WatermarkLag is the out-of-orderness bound of source watermarks.
-	WatermarkLag time.Duration
-	// CompressCheckpoints deflates checkpoint blobs before upload.
-	CompressCheckpoints bool
-	// DeltaCheckpoints persists the keyed state of backend-using operators
-	// (q3/q8/q12 joins and counts, the cyclic join) as base-plus-delta
-	// chains instead of full snapshots per checkpoint.
-	DeltaCheckpoints bool
-	// SpillState switches the keyed-state backend of backend-using
-	// operators to the spillable backend: a bounded in-memory overlay over
-	// mmap'd on-disk segments, keeping larger-than-memory keyed state
-	// runnable and making restore an mmap instead of a decode.
-	SpillState bool
-	// SpillMaxMB bounds each instance's resident keyed-state bytes in MiB
-	// (0 = statestore default, 64 MiB).
-	SpillMaxMB int
-	// SpillMaxEntries bounds each instance's overlay entry count (0 =
-	// statestore default).
-	SpillMaxEntries int
-	// SpillDir roots the segment files. Empty = a fresh temporary
-	// directory, removed when the run ends.
-	SpillDir string
-	// BatchMaxRecords / BatchMaxBytes / BatchLingerTicks configure the
-	// vectorized exchange (core.BatchingConfig): how many records, encoded
-	// bytes, or poll-interval ticks an output batch may accumulate before
-	// it is flushed. Zero values preserve today's per-record behavior
-	// (batch size 1).
-	BatchMaxRecords  int
-	BatchMaxBytes    int
-	BatchLingerTicks int
+	// ChaosPlan is the deterministic fault plan for the run: windowed
+	// store brownouts/outages/latency spikes, WAL fsync stalls and
+	// exchange delay/jitter, armed at engine start. The zero plan injects
+	// nothing.
+	ChaosPlan chaos.Plan
 	// AnalyzeRollbackScope computes, after the run, the rollback scope of
 	// every possible single-instance failure under the logging protocols
 	// (see RunResult.Scope). Failure-free runs only.
 	AnalyzeRollbackScope bool
-	// PoisonFrames enables the frame pool's poison-on-recycle debug mode
-	// for the duration of the run: recycled wire frames are scribbled
-	// before reuse, so any component holding an alias past its ownership
-	// window corrupts deterministically instead of silently. The setting is
-	// process-wide while the run executes and restored afterwards.
-	PoisonFrames bool
-	// Durable enables the filesystem durability tier: checkpoint blobs go
-	// to a disk-backed object store and, for the logging protocols, every
-	// message-log append tees through a segmented WAL before it is
-	// acknowledged. Store latency simulation (StorePutLatency etc.) still
-	// applies on top of the real disk I/O.
-	Durable bool
-	// DurableDir roots the durable files (blobs/ and wal/ subdirectories).
-	// Empty = a fresh temporary directory, removed when the run ends.
+	// DurableDir roots the files of a Durability.Enabled run (blobs/ and
+	// wal/ subdirectories). Empty = a fresh temporary directory, removed
+	// when the run ends.
 	DurableDir string
-	// WALSync selects the WAL sync policy: "always", "group" (default) or
-	// "interval". See wal.SyncPolicy.
-	WALSync string
-	// Trace enables the checkpoint-lifecycle span collector for the run.
-	// The collected spans land in RunResult.Trace (export with
-	// trace.WriteChromeFile) and feed Summary.RoundPhases.
-	Trace bool
-	// TraceCap bounds each trace track's event ring (0 =
-	// trace.DefaultTrackCap).
-	TraceCap int
 	// HTTPAddr, when non-empty, serves the live observability endpoint
 	// (/metrics, /trace.json, /debug/pprof) on this address for the
 	// duration of the run. Use ":0" to bind an ephemeral port.
 	HTTPAddr string
 }
+
+// storeLatency is the simulated checkpoint-store put and get latency.
+const storeLatency = 2 * time.Millisecond
 
 func (c *RunConfig) applyDefaults() {
 	if c.Duration <= 0 {
@@ -208,18 +119,6 @@ func (c *RunConfig) applyDefaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = c.Duration / 60 * 10 // 10 s at paper scale
-	}
-	if c.LagThreshold <= 0 {
-		c.LagThreshold = c.Duration / 25
-	}
-	if c.StorePutLatency <= 0 {
-		c.StorePutLatency = 2 * time.Millisecond
-	}
-	if c.StoreGetLatency <= 0 {
-		c.StoreGetLatency = 2 * time.Millisecond
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = c.Duration / 10
 	}
 	if c.NetWorkFactor == 0 {
 		c.NetWorkFactor = 4
@@ -257,10 +156,11 @@ type RunResult struct {
 	// Store reports the checkpoint-store traffic of the run.
 	Store objstore.Stats
 	// WAL reports the message-log WAL counters of a durable run (zero
-	// unless RunConfig.Durable and the protocol logs messages).
+	// unless RunConfig.Durability is enabled and the protocol logs
+	// messages).
 	WAL wal.Stats
 	// Spill aggregates the spillable keyed-state gauges at end of run
-	// (zero unless RunConfig.SpillState).
+	// (zero unless RunConfig.StateSpill is enabled).
 	Spill statestore.SpillStats
 	// Chaos reports the run's robustness accounting: retry/backoff
 	// counters, injected faults, watchdog round abandonments and the
@@ -269,9 +169,6 @@ type RunResult struct {
 	// Scope summarizes the single-failure rollback-scope analysis (set by
 	// RunConfig.AnalyzeRollbackScope).
 	Scope ScopeStats
-	// Trace holds the run's span collector (nil unless RunConfig.Trace).
-	// Export with Trace.WriteChromeFile.
-	Trace *trace.Tracer
 	// HTTPAddr is the bound observability address (set when
 	// RunConfig.HTTPAddr was non-empty; useful with ":0").
 	HTTPAddr string
@@ -335,40 +232,38 @@ func buildWorkload(cfg *RunConfig) (*mq.Broker, *core.JobSpec, map[string]uint64
 
 // Run executes one experiment.
 func Run(cfg RunConfig) (RunResult, error) {
+	if cfg.Broker != nil || cfg.Store != nil || cfg.Recorder != nil || cfg.Chaos != nil ||
+		cfg.DetectionDelay != 0 || cfg.CatchUpLag != 0 || cfg.Durability.WALDir != "" {
+		return RunResult{}, fmt.Errorf("harness: Run sets Broker, Store, Recorder, Chaos, DetectionDelay, CatchUpLag and Durability.WALDir itself; leave them zero")
+	}
 	cfg.applyDefaults()
 	if cfg.Rate <= 0 || cfg.Workers <= 0 {
 		return RunResult{}, fmt.Errorf("harness: rate and workers must be positive (rate=%v workers=%d)", cfg.Rate, cfg.Workers)
 	}
-	if cfg.PoisonFrames {
-		prev := core.SetFramePoison(true)
-		defer core.SetFramePoison(prev)
-	}
-	if cfg.CPUs > 0 {
-		prev := runtime.GOMAXPROCS(cfg.CPUs)
-		defer runtime.GOMAXPROCS(prev)
-	}
+	lagThreshold := cfg.Duration / 25 // the sustainability verdict
+	drainGrace := cfg.Duration / 10   // lets in-flight records reach the timeline
 	broker, job, produced, err := buildWorkload(&cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
 	storeCfg := objstore.Config{
-		PutLatency:     cfg.StorePutLatency,
-		GetLatency:     cfg.StoreGetLatency,
+		PutLatency:     storeLatency,
+		GetLatency:     storeLatency,
 		PerByteLatency: time.Nanosecond,
 		FailureRate:    cfg.StoreFailureRate,
 		Seed:           cfg.Seed,
 	}
 	var injector *chaos.Injector
-	if !cfg.Chaos.Empty() {
-		plan := cfg.Chaos
+	if !cfg.ChaosPlan.Empty() {
+		plan := cfg.ChaosPlan
 		if plan.Seed == 0 {
 			plan.Seed = cfg.Seed
 		}
 		injector = chaos.NewInjector(plan)
 		storeCfg.Fault = injector
 	}
-	var durability core.DurabilityConfig
-	if cfg.Durable {
+	ecfg := cfg.Config
+	if ecfg.Durability.Enabled {
 		dir := cfg.DurableDir
 		if dir == "" {
 			tmp, terr := os.MkdirTemp("", "checkmate-durable-*")
@@ -378,97 +273,37 @@ func Run(cfg RunConfig) (RunResult, error) {
 			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
-		policy := wal.SyncGroup
-		if cfg.WALSync != "" {
-			p, perr := wal.PolicyByName(cfg.WALSync)
-			if perr != nil {
-				return RunResult{}, fmt.Errorf("harness: %w", perr)
-			}
-			policy = p
-		}
 		storeCfg.Dir = filepath.Join(dir, "blobs")
-		durability = core.DurabilityConfig{
-			Enabled: true,
-			WALDir:  filepath.Join(dir, "wal"),
-			Sync:    policy,
-		}
+		ecfg.Durability.WALDir = filepath.Join(dir, "wal")
 	}
 	store, err := objstore.Open(storeCfg)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("harness: open store: %w", err)
 	}
-	var stateSpill core.StateSpillConfig
-	if cfg.SpillState {
-		dir := cfg.SpillDir
-		if dir == "" {
-			tmp, terr := os.MkdirTemp("", "checkmate-spill-*")
-			if terr != nil {
-				return RunResult{}, fmt.Errorf("harness: spill dir: %w", terr)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
+	if ecfg.StateSpill.Enabled && ecfg.StateSpill.Dir == "" {
+		tmp, terr := os.MkdirTemp("", "checkmate-spill-*")
+		if terr != nil {
+			return RunResult{}, fmt.Errorf("harness: spill dir: %w", terr)
 		}
-		stateSpill = core.StateSpillConfig{
-			Enabled:           true,
-			Dir:               dir,
-			MaxResidentBytes:  cfg.SpillMaxMB << 20,
-			MaxOverlayEntries: cfg.SpillMaxEntries,
-		}
+		defer os.RemoveAll(tmp)
+		ecfg.StateSpill.Dir = tmp
 	}
 	bucket := cfg.Duration / 60 // always 60 "paper seconds"
 	if bucket <= 0 {
 		bucket = time.Second
 	}
-	recorder := metrics.NewRecorder(time.Now(), cfg.Duration+cfg.DrainGrace, bucket)
-	var tracer *trace.Tracer
-	if cfg.Trace {
-		tracer = trace.New(cfg.TraceCap)
-	}
-	eng, err := core.NewEngine(core.Config{
-		Trace:               tracer,
-		Workers:             cfg.Workers,
-		Protocol:            cfg.Protocol,
-		CheckpointInterval:  cfg.CheckpointInterval,
-		ChannelCap:          cfg.ChannelCap,
-		Broker:              broker,
-		Store:               store,
-		Recorder:            recorder,
-		DetectionDelay:      cfg.Duration / 120,
-		PollInterval:        2 * time.Millisecond,
-		CatchUpLag:          cfg.LagThreshold / 2,
-		NetWorkFactor:       cfg.NetWorkFactor,
-		Semantics:           cfg.Semantics,
-		StragglerDelay:      cfg.StragglerDelay,
-		StragglerWorker:     cfg.StragglerWorker,
-		CheckpointGC:        cfg.CheckpointGC,
-		Output:              cfg.Output,
-		WatermarkInterval:   cfg.WatermarkInterval,
-		WatermarkLag:        cfg.WatermarkLag,
-		CompressCheckpoints: cfg.CompressCheckpoints,
-		DeltaCheckpoints:    cfg.DeltaCheckpoints,
-		StateSpill:          stateSpill,
-		Durability:          durability,
-		Cluster: cluster.Config{
-			Workers:    cfg.ClusterWorkers,
-			Policy:     cluster.Policy(cfg.Placement),
-			LocalCache: cfg.LocalCache,
-		},
-		Batching: core.BatchingConfig{
-			MaxRecords:  cfg.BatchMaxRecords,
-			MaxBytes:    cfg.BatchMaxBytes,
-			LingerTicks: cfg.BatchLingerTicks,
-		},
-		Seed:          cfg.Seed,
-		Chaos:         injector,
-		RoundDeadline: cfg.RoundDeadline,
-	}, job)
+	recorder := metrics.NewRecorder(time.Now(), cfg.Duration+drainGrace, bucket)
+	ecfg.Broker, ecfg.Store, ecfg.Recorder, ecfg.Chaos = broker, store, recorder, injector
+	ecfg.DetectionDelay = cfg.Duration / 120
+	ecfg.CatchUpLag = lagThreshold / 2
+	eng, err := core.NewEngine(ecfg, job)
 	if err != nil {
 		return RunResult{}, err
 	}
 	defer eng.Close()
 	var obs *trace.Server
 	if cfg.HTTPAddr != "" {
-		obs, err = trace.Serve(cfg.HTTPAddr, tracer, eng.MetricsSnapshot)
+		obs, err = trace.Serve(cfg.HTTPAddr, cfg.Trace, eng.MetricsSnapshot)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("harness: observability endpoint: %w", err)
 		}
@@ -480,7 +315,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 
 	start := time.Now()
 	if cfg.FailureAt > 0 {
-		clusterWorkers := cfg.ClusterWorkers
+		clusterWorkers := cfg.Cluster.Workers
 		if clusterWorkers <= 0 {
 			clusterWorkers = cfg.Workers
 		}
@@ -530,11 +365,11 @@ func Run(cfg RunConfig) (RunResult, error) {
 	// done is not enough — records still queued between operators would be
 	// dropped at Stop, so also wait (deadline-bounded) for the sink count
 	// to settle.
-	deadline := time.Now().Add(cfg.DrainGrace)
+	deadline := time.Now().Add(drainGrace)
 	var lastSink uint64
 	sinkStable := 0
 	for time.Now().Before(deadline) {
-		if eng.SourceBacklog() == 0 && eng.MaxSourceLag() < cfg.LagThreshold/4 {
+		if eng.SourceBacklog() == 0 && eng.MaxSourceLag() < lagThreshold/4 {
 			if count := recorder.SinkCount(); count == lastSink {
 				if sinkStable++; sinkStable >= 3 {
 					break
@@ -552,8 +387,8 @@ func Run(cfg RunConfig) (RunResult, error) {
 	eng.Stop()
 
 	sum := recorder.Summarize(cfg.Protocol.Kind() == core.KindCoordinated)
-	if tracer != nil {
-		for _, p := range tracer.PhaseStats() {
+	if cfg.Trace != nil {
+		for _, p := range cfg.Trace.PhaseStats() {
 			sum.RoundPhases = append(sum.RoundPhases, metrics.PhaseStat{
 				Name: p.Name, Count: p.Count, Total: p.Total, Max: p.Max,
 			})
@@ -563,14 +398,13 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Config:      cfg,
 		Summary:     sum,
 		MaxLag:      maxLag,
-		Sustainable: maxLag < cfg.LagThreshold && sum.SinkCount > 0,
+		Sustainable: maxLag < lagThreshold && sum.SinkCount > 0,
 		Produced:    produced,
 	}
 	res.Store = store.Stats()
 	res.WAL = eng.WALStats()
 	res.Spill = eng.StateStats()
 	res.Chaos = eng.ChaosStats()
-	res.Trace = tracer
 	if obs != nil {
 		res.HTTPAddr = obs.Addr()
 	}

@@ -6,6 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"checkmate/internal/chaos"
+	"checkmate/internal/core"
+	"checkmate/internal/metrics"
+	"checkmate/internal/mq"
+	"checkmate/internal/objstore"
 	"checkmate/internal/protocol"
 )
 
@@ -19,11 +24,32 @@ func quickRun(t *testing.T, cfg RunConfig) RunResult {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(RunConfig{Query: "q1", Protocol: protocol.None{}}); err == nil {
+	if _, err := Run(RunConfig{Config: core.Config{Protocol: protocol.None{}}, Query: "q1"}); err == nil {
 		t.Fatal("zero rate should fail")
 	}
-	if _, err := Run(RunConfig{Query: "bogus", Protocol: protocol.None{}, Rate: 100, Workers: 2}); err == nil {
+	if _, err := Run(RunConfig{Config: core.Config{Protocol: protocol.None{}, Workers: 2}, Query: "bogus", Rate: 100}); err == nil {
 		t.Fatal("unknown query should fail")
+	}
+}
+
+// TestRunRejectsPresetWiring checks Run refuses a config whose engine
+// wiring or Duration-derived timings — which Run sets itself — were
+// already set by the caller.
+func TestRunRejectsPresetWiring(t *testing.T) {
+	for name, set := range map[string]func(*core.Config){
+		"Broker":         func(c *core.Config) { c.Broker = mq.NewBroker() },
+		"Store":          func(c *core.Config) { c.Store = objstore.New(objstore.Config{}) },
+		"Recorder":       func(c *core.Config) { c.Recorder = metrics.NewRecorder(time.Now(), time.Second, time.Second) },
+		"Chaos":          func(c *core.Config) { c.Chaos = chaos.NewInjector(chaos.Plan{}) },
+		"DetectionDelay": func(c *core.Config) { c.DetectionDelay = time.Millisecond },
+		"CatchUpLag":     func(c *core.Config) { c.CatchUpLag = time.Millisecond },
+		"WALDir":         func(c *core.Config) { c.Durability.WALDir = "wal" },
+	} {
+		cfg := RunConfig{Config: core.Config{Protocol: protocol.None{}, Workers: 2}, Query: "q1", Rate: 100}
+		set(&cfg.Config)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "leave them zero") {
+			t.Errorf("preset %s: err = %v, want a wiring error", name, err)
+		}
 	}
 }
 
@@ -35,8 +61,8 @@ func TestRunQ1AllProtocols(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			res := quickRun(t, RunConfig{
-				Query: "q1", Protocol: p, Workers: 2, Rate: 3000,
-				Duration: 800 * time.Millisecond, Seed: 2,
+				Config: core.Config{Protocol: p, Workers: 2, Seed: 2},
+				Query:  "q1", Rate: 3000, Duration: 800 * time.Millisecond,
 			})
 			if res.Summary.SinkCount == 0 {
 				t.Fatal("no records reached the sink")
@@ -50,9 +76,12 @@ func TestRunQ1AllProtocols(t *testing.T) {
 
 func TestRunQ3WithFailure(t *testing.T) {
 	res := quickRun(t, RunConfig{
-		Query: "q3", Protocol: protocol.Uncoordinated{}, Workers: 2, Rate: 4000,
-		Duration: 1200 * time.Millisecond, FailureAt: 400 * time.Millisecond,
-		CheckpointInterval: 100 * time.Millisecond, Seed: 3,
+		Config: core.Config{
+			Protocol: protocol.Uncoordinated{}, Workers: 2,
+			CheckpointInterval: 100 * time.Millisecond, Seed: 3,
+		},
+		Query: "q3", Rate: 4000, Duration: 1200 * time.Millisecond,
+		FailureAt: 400 * time.Millisecond,
 	})
 	if res.Summary.Failures != 1 {
 		t.Fatalf("failures = %d", res.Summary.Failures)
@@ -71,9 +100,12 @@ func TestRunQ8AndQ12(t *testing.T) {
 	}
 	for _, q := range []string{"q8", "q12"} {
 		res := quickRun(t, RunConfig{
-			Query: q, Protocol: protocol.Coordinated{}, Workers: 2, Rate: 3000,
-			Duration: 800 * time.Millisecond, Window: 200 * time.Millisecond,
-			CheckpointInterval: 150 * time.Millisecond, Seed: 4,
+			Config: core.Config{
+				Protocol: protocol.Coordinated{}, Workers: 2,
+				CheckpointInterval: 150 * time.Millisecond, Seed: 4,
+			},
+			Query: q, Rate: 3000, Duration: 800 * time.Millisecond,
+			Window: 200 * time.Millisecond,
 		})
 		if res.Summary.SinkCount == 0 {
 			t.Fatalf("%s: no sink records", q)
@@ -83,9 +115,11 @@ func TestRunQ8AndQ12(t *testing.T) {
 
 func TestRunCyclic(t *testing.T) {
 	res := quickRun(t, RunConfig{
-		Query: QueryCyclic, Protocol: protocol.Uncoordinated{}, Workers: 2, Rate: 3000,
-		Duration: 800 * time.Millisecond, Nodes: 500,
-		CheckpointInterval: 150 * time.Millisecond, Seed: 5,
+		Config: core.Config{
+			Protocol: protocol.Uncoordinated{}, Workers: 2,
+			CheckpointInterval: 150 * time.Millisecond, Seed: 5,
+		},
+		Query: QueryCyclic, Rate: 3000, Duration: 800 * time.Millisecond, Nodes: 500,
 	})
 	if res.Summary.SinkCount == 0 {
 		t.Fatal("cyclic query produced no reachability records")
@@ -94,8 +128,8 @@ func TestRunCyclic(t *testing.T) {
 
 func TestRunCyclicRejectsCOOR(t *testing.T) {
 	if _, err := Run(RunConfig{
-		Query: QueryCyclic, Protocol: protocol.Coordinated{}, Workers: 2, Rate: 1000,
-		Duration: 500 * time.Millisecond,
+		Config: core.Config{Protocol: protocol.Coordinated{}, Workers: 2},
+		Query:  QueryCyclic, Rate: 1000, Duration: 500 * time.Millisecond,
 	}); err == nil {
 		t.Fatal("COOR on cyclic query must fail")
 	}
@@ -108,8 +142,10 @@ func TestRunUnsustainableRateDetected(t *testing.T) {
 	// Far beyond what 2 workers can do with heavy synthetic per-byte work
 	// (q1 consumes the bid stream: 92% of the generated mix).
 	res := quickRun(t, RunConfig{
-		Query: "q1", Protocol: protocol.CIC{}, Workers: 2, Rate: 2_000_000,
-		Duration: 600 * time.Millisecond, Seed: 6, NetWorkFactor: 256,
+		Config: core.Config{
+			Protocol: protocol.CIC{}, Workers: 2, Seed: 6, NetWorkFactor: 256,
+		},
+		Query: "q1", Rate: 2_000_000, Duration: 600 * time.Millisecond,
 	})
 	if res.Sustainable {
 		t.Fatalf("2M ev/s on 2 workers reported sustainable (lag %v)", res.MaxLag)
@@ -121,7 +157,7 @@ func TestFindMST(t *testing.T) {
 		t.Skip("MST search is slow")
 	}
 	mst, err := FindMST(MSTConfig{
-		Base:          RunConfig{Query: "q1", Protocol: protocol.None{}, Workers: 2, Seed: 7},
+		Base:          RunConfig{Config: core.Config{Protocol: protocol.None{}, Workers: 2, Seed: 7}, Query: "q1"},
 		ProbeDuration: 500 * time.Millisecond,
 		StartRate:     2000,
 		MaxRate:       64_000,
@@ -141,7 +177,7 @@ func TestMSTCache(t *testing.T) {
 	}
 	c := NewMSTCache()
 	cfg := MSTConfig{
-		Base:          RunConfig{Query: "q1", Protocol: protocol.None{}, Workers: 2, Seed: 8},
+		Base:          RunConfig{Config: core.Config{Protocol: protocol.None{}, Workers: 2, Seed: 8}, Query: "q1"},
 		ProbeDuration: 400 * time.Millisecond,
 		StartRate:     2000,
 		MaxRate:       16_000,
@@ -177,9 +213,12 @@ func TestTableIFeaturesStatic(t *testing.T) {
 
 func TestRunUnalignedCoordinated(t *testing.T) {
 	res := quickRun(t, RunConfig{
-		Query: "q12", Protocol: protocol.UnalignedCoordinated{}, Workers: 2, Rate: 5000,
-		Duration: 1 * time.Second, FailureAt: 350 * time.Millisecond,
-		CheckpointInterval: 120 * time.Millisecond, Seed: 12,
+		Config: core.Config{
+			Protocol: protocol.UnalignedCoordinated{}, Workers: 2,
+			CheckpointInterval: 120 * time.Millisecond, Seed: 12,
+		},
+		Query: "q12", Rate: 5000, Duration: 1 * time.Second,
+		FailureAt: 350 * time.Millisecond,
 	})
 	if res.Summary.SinkCount == 0 {
 		t.Fatal("no output")
@@ -194,9 +233,11 @@ func TestRunUnalignedCoordinated(t *testing.T) {
 
 func TestRunUnalignedOnCyclicQuery(t *testing.T) {
 	res := quickRun(t, RunConfig{
-		Query: QueryCyclic, Protocol: protocol.UnalignedCoordinated{}, Workers: 2, Rate: 3000,
-		Duration: 800 * time.Millisecond, Nodes: 500,
-		CheckpointInterval: 150 * time.Millisecond, Seed: 13,
+		Config: core.Config{
+			Protocol: protocol.UnalignedCoordinated{}, Workers: 2,
+			CheckpointInterval: 150 * time.Millisecond, Seed: 13,
+		},
+		Query: QueryCyclic, Rate: 3000, Duration: 800 * time.Millisecond, Nodes: 500,
 	})
 	if res.Summary.SinkCount == 0 {
 		t.Fatal("unaligned coordinated produced no output on the cyclic query")
@@ -218,9 +259,11 @@ func TestRunBCSForcesMoreCheckpointsThanHMNR(t *testing.T) {
 			t.Fatal(err)
 		}
 		return quickRun(t, RunConfig{
-			Query: "q3", Protocol: proto, Workers: 2, Rate: 8000,
-			Duration: 900 * time.Millisecond, CheckpointInterval: 200 * time.Millisecond,
-			Seed: 14,
+			Config: core.Config{
+				Protocol: proto, Workers: 2, CheckpointInterval: 200 * time.Millisecond,
+				Seed: 14,
+			},
+			Query: "q3", Rate: 8000, Duration: 900 * time.Millisecond,
 		})
 	}
 	bcs := run(protocol.BCS{})

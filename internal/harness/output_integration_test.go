@@ -21,9 +21,11 @@ func TestTransactionalOutputEndToEnd(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(RunConfig{
-				Query: "q1", Protocol: p, Workers: 2, Rate: 8000,
-				Duration: 1500 * time.Millisecond, FailureAt: 600 * time.Millisecond,
-				Output: core.OutputTransactional, Seed: 7,
+				Config: core.Config{
+					Protocol: p, Workers: 2, Output: core.OutputTransactional, Seed: 7,
+				},
+				Query: "q1", Rate: 8000, Duration: 1500 * time.Millisecond,
+				FailureAt: 600 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -54,8 +56,11 @@ func TestImmediateOutputEndToEnd(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := Run(RunConfig{
-		Query: "q1", Protocol: protocol.Coordinated{}, Workers: 2, Rate: 8000,
-		Duration: 1200 * time.Millisecond, Output: core.OutputImmediate, Seed: 7,
+		Config: core.Config{
+			Protocol: protocol.Coordinated{}, Workers: 2, Output: core.OutputImmediate,
+			Seed: 7,
+		},
+		Query: "q1", Rate: 8000, Duration: 1200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +84,9 @@ func TestRollbackScopeAnalysis(t *testing.T) {
 		t.Skip("short mode")
 	}
 	res, err := Run(RunConfig{
-		Query: "q1", Protocol: protocol.Uncoordinated{}, Workers: 4, Rate: 8000,
-		Duration: 1200 * time.Millisecond, AnalyzeRollbackScope: true, Seed: 5,
+		Config: core.Config{Protocol: protocol.Uncoordinated{}, Workers: 4, Seed: 5},
+		Query:  "q1", Rate: 8000, Duration: 1200 * time.Millisecond,
+		AnalyzeRollbackScope: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +115,12 @@ func TestCompressionEndToEnd(t *testing.T) {
 	}
 	run := func(compress bool) float64 {
 		res, err := Run(RunConfig{
-			Query: "q12", Protocol: protocol.Coordinated{}, Workers: 2, Rate: 6000,
-			Duration: 1200 * time.Millisecond, Window: 200 * time.Millisecond,
-			CompressCheckpoints: compress, Seed: 5,
+			Config: core.Config{
+				Protocol: protocol.Coordinated{}, Workers: 2,
+				CompressCheckpoints: compress, Seed: 5,
+			},
+			Query: "q12", Rate: 6000, Duration: 1200 * time.Millisecond,
+			Window: 200 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"checkmate/internal/core"
 	"checkmate/internal/protocol"
 )
 
@@ -25,9 +26,9 @@ func TestTriggerPoliciesEndToEnd(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(RunConfig{
-				Query: "q12", Protocol: p, Workers: 2, Rate: 4000,
-				Duration: 1500 * time.Millisecond, FailureAt: 600 * time.Millisecond,
-				Window: 200 * time.Millisecond, Seed: 21,
+				Config: core.Config{Protocol: p, Workers: 2, Seed: 21},
+				Query:  "q12", Rate: 4000, Duration: 1500 * time.Millisecond,
+				FailureAt: 600 * time.Millisecond, Window: 200 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -57,9 +58,11 @@ func TestEventCountPolicyBoundsReplay(t *testing.T) {
 	}
 	run := func(p protocol.UncoordinatedWithPolicy, interval time.Duration) (ckpts int, replayed uint64) {
 		res, err := Run(RunConfig{
-			Query: "q1", Protocol: p, Workers: 2, Rate: 8000,
-			Duration: 1500 * time.Millisecond, FailureAt: 700 * time.Millisecond,
-			CheckpointInterval: interval, Seed: 9,
+			Config: core.Config{
+				Protocol: p, Workers: 2, CheckpointInterval: interval, Seed: 9,
+			},
+			Query: "q1", Rate: 8000, Duration: 1500 * time.Millisecond,
+			FailureAt: 700 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

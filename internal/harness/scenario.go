@@ -36,16 +36,16 @@ func scenarioRegistry() []scenarioSpec {
 			name: "store-brownout",
 			doc:  "object store browns out for the middle half of the run (60% error rate + latency spikes); retries absorb it",
 			apply: func(cfg *RunConfig, d, ci time.Duration) {
-				cfg.Chaos.Brownout = []chaos.Window{{At: d / 4, For: d / 2}}
-				cfg.Chaos.BrownoutRate = 0.6
-				cfg.Chaos.LatencySpike = []chaos.Window{{At: d / 4, For: d / 2}}
+				cfg.ChaosPlan.Brownout = []chaos.Window{{At: d / 4, For: d / 2}}
+				cfg.ChaosPlan.BrownoutRate = 0.6
+				cfg.ChaosPlan.LatencySpike = []chaos.Window{{At: d / 4, For: d / 2}}
 			},
 		},
 		{
 			name: "store-outage",
 			doc:  "object store is fully out for 20% of the run; the engine degrades (drains without checkpointing) and resumes",
 			apply: func(cfg *RunConfig, d, ci time.Duration) {
-				cfg.Chaos.Outage = []chaos.Window{{At: 2 * d / 5, For: d / 5}}
+				cfg.ChaosPlan.Outage = []chaos.Window{{At: 2 * d / 5, For: d / 5}}
 			},
 		},
 		{
@@ -78,7 +78,7 @@ func scenarioRegistry() []scenarioSpec {
 				cfg.HotRatio = 0.8
 				cfg.StragglerDelay = 200 * time.Microsecond
 				cfg.StragglerWorker = 0
-				cfg.Chaos.ExchangeJitter = 100 * time.Microsecond
+				cfg.ChaosPlan.ExchangeJitter = 100 * time.Microsecond
 			},
 		},
 	}
@@ -105,35 +105,6 @@ func ScenarioDoc(name string) string {
 		}
 	}
 	return ""
-}
-
-// ScenarioConfig selects one hostile scenario run.
-type ScenarioConfig struct {
-	// Scenario is the registered scenario name (see Scenarios).
-	Scenario string
-	// Protocol is the checkpointing protocol under test (must checkpoint:
-	// the scenarios assert exactly-once via transactional output).
-	Protocol core.Protocol
-	// Query is the workload (default q3, the stateful join).
-	Query string
-	// Workers is the parallelism (default 4).
-	Workers int
-	// Rate is the input rate in events/second (default 8000).
-	Rate float64
-	// Duration is the run length D the scenario's fault windows scale
-	// with (default 3s).
-	Duration time.Duration
-	// CheckpointInterval defaults to Duration/12 (so every scenario sees
-	// plenty of rounds).
-	CheckpointInterval time.Duration
-	// Seed drives all deterministic randomness, fault injection included
-	// (default 1).
-	Seed int64
-	// Trace enables span collection for the run.
-	Trace bool
-	// TracePath writes the Chrome trace there after the run (requires
-	// Trace).
-	TracePath string
 }
 
 // ScenarioPoint is one measured scenario cell, shaped for
@@ -179,83 +150,73 @@ type ScenarioPoint struct {
 	ExactlyOnce   bool   `json:"exactly_once"`
 }
 
-// scenarioRunConfig builds the RunConfig of one scenario cell (defaults
-// applied, scenario mutation included).
-func scenarioRunConfig(sc ScenarioConfig) (RunConfig, error) {
+// scenarioRunConfig builds the RunConfig of one scenario cell from cfg:
+// zero fields take the scenario defaults (q3, 4 workers, 8000 ev/s, 3 s,
+// a Duration/12 checkpoint interval), output is always transactional (any
+// other preset mode is refused), then the scenario's own mutation
+// overrides the fields it sets.
+func scenarioRunConfig(name string, cfg RunConfig) (RunConfig, error) {
 	var spec *scenarioSpec
 	for _, s := range scenarioRegistry() {
-		if s.name == sc.Scenario {
+		if s.name == name {
 			spec = &s
 			break
 		}
 	}
 	if spec == nil {
 		return RunConfig{}, fmt.Errorf("harness: unknown scenario %q (want one of %s)",
-			sc.Scenario, strings.Join(Scenarios(), ", "))
+			name, strings.Join(Scenarios(), ", "))
 	}
-	if sc.Protocol == nil {
-		return RunConfig{}, fmt.Errorf("harness: scenario %q needs a checkpointing protocol", sc.Scenario)
+	if cfg.Protocol == nil {
+		return RunConfig{}, fmt.Errorf("harness: scenario %q needs a checkpointing protocol", name)
 	}
-	if sc.Protocol.Kind() == core.KindNone {
+	if cfg.Protocol.Kind() == core.KindNone {
 		return RunConfig{}, fmt.Errorf("harness: scenario %q asserts exactly-once output; protocol %s does not checkpoint",
-			sc.Scenario, sc.Protocol.Name())
+			name, cfg.Protocol.Name())
 	}
-	if sc.Query == "" {
-		sc.Query = "q3"
+	if cfg.Output != core.OutputNone && cfg.Output != core.OutputTransactional {
+		return RunConfig{}, fmt.Errorf("harness: scenario %q asserts exactly-once output; it needs transactional output, not %s",
+			name, cfg.Output)
 	}
-	if sc.Workers <= 0 {
-		sc.Workers = 4
+	if cfg.Query == "" {
+		cfg.Query = "q3"
 	}
-	if sc.Rate <= 0 {
-		sc.Rate = 8000
+	if cfg.Workers <= 0 {
+		cfg.Workers = 4
 	}
-	if sc.Duration <= 0 {
-		sc.Duration = 3 * time.Second
+	if cfg.Rate <= 0 {
+		cfg.Rate = 8000
 	}
-	if sc.CheckpointInterval <= 0 {
-		sc.CheckpointInterval = sc.Duration / 12
+	if cfg.Duration <= 0 {
+		cfg.Duration = 3 * time.Second
 	}
-	if sc.Seed == 0 {
-		sc.Seed = 1
+	if cfg.CheckpointInterval <= 0 {
+		cfg.CheckpointInterval = cfg.Duration / 12
 	}
-	cfg := RunConfig{
-		Query:              sc.Query,
-		Protocol:           sc.Protocol,
-		Workers:            sc.Workers,
-		Rate:               sc.Rate,
-		Duration:           sc.Duration,
-		CheckpointInterval: sc.CheckpointInterval,
-		Seed:               sc.Seed,
-		Output:             core.OutputTransactional,
-		Trace:              sc.Trace,
-	}
-	spec.apply(&cfg, sc.Duration, sc.CheckpointInterval)
+	cfg.Output = core.OutputTransactional
+	spec.apply(&cfg, cfg.Duration, cfg.CheckpointInterval)
 	return cfg, nil
 }
 
-// RunScenario runs one hostile scenario cell and reduces it to a point.
-// Every point carries the exactly-once verdict: the run collects output
+// RunScenario runs one hostile scenario cell over cfg (see
+// scenarioRunConfig for the defaults) and reduces it to a point. Every
+// point carries the exactly-once verdict: the run collects output
 // transactionally and counts result UIDs the external consumer observed
 // twice — zero under a correct protocol, failures and faults included.
-func RunScenario(sc ScenarioConfig) (ScenarioPoint, error) {
-	cfg, err := scenarioRunConfig(sc)
+func RunScenario(name string, cfg RunConfig) (ScenarioPoint, error) {
+	cfg, err := scenarioRunConfig(name, cfg)
 	if err != nil {
 		return ScenarioPoint{}, err
 	}
 	res, err := Run(cfg)
 	if err != nil {
-		return ScenarioPoint{}, fmt.Errorf("harness: scenario %s/%s: %w", sc.Scenario, sc.Protocol.Name(), err)
-	}
-	if sc.TracePath != "" && res.Trace != nil {
-		if err := res.Trace.WriteChromeFile(sc.TracePath); err != nil {
-			return ScenarioPoint{}, fmt.Errorf("harness: scenario trace: %w", err)
-		}
+		return ScenarioPoint{}, fmt.Errorf("harness: scenario %s/%s: %w", name, cfg.Protocol.Name(), err)
 	}
 	sum := res.Summary
 	secs := cfg.Duration.Seconds()
 	pt := ScenarioPoint{
-		Scenario:            sc.Scenario,
-		Protocol:            sc.Protocol.Name(),
+		Scenario:            name,
+		Protocol:            cfg.Protocol.Name(),
 		Query:               cfg.Query,
 		Workers:             cfg.Workers,
 		Records:             sum.SinkCount,
@@ -308,11 +269,9 @@ func (s *Suite) ScenarioTable() (*metrics.Table, error) {
 	for _, name := range Scenarios() {
 		for _, p := range scenarioProtocols() {
 			s.logf("scenario %-22s %-4s", name, p.Name())
-			pt, err := RunScenario(ScenarioConfig{
-				Scenario: name,
-				Protocol: p,
+			pt, err := RunScenario(name, RunConfig{
+				Config:   core.Config{Protocol: p, Seed: s.Seed},
 				Duration: s.dur(36),
-				Seed:     s.Seed,
 			})
 			if err != nil {
 				return nil, err

@@ -98,14 +98,16 @@ func (s *Suite) dur(paperSeconds float64) time.Duration {
 // base builds the run configuration of one cell.
 func (s *Suite) base(query string, p core.Protocol, workers int) RunConfig {
 	return RunConfig{
-		Query:              query,
-		Protocol:           p,
-		Workers:            workers,
-		Duration:           s.dur(60),
-		CheckpointInterval: s.dur(6),
-		Window:             s.dur(10),
-		Seed:               s.Seed,
-		FailWorker:         workers - 1,
+		Config: core.Config{
+			Protocol:           p,
+			Workers:            workers,
+			CheckpointInterval: s.dur(6),
+			Seed:               s.Seed,
+		},
+		Query:      query,
+		Duration:   s.dur(60),
+		Window:     s.dur(10),
+		FailWorker: workers - 1,
 	}
 }
 
@@ -385,7 +387,7 @@ func (s *Suite) RTOBreakdownTable() (*metrics.Table, error) {
 			cfg := s.base("q3", p, 4)
 			cfg.Rate = 20000
 			cfg.FailureAt = s.dur(18)
-			cfg.LocalCache = warm
+			cfg.Cluster.LocalCache = warm
 			res, err := Run(cfg)
 			if err != nil {
 				return nil, err

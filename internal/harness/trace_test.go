@@ -15,12 +15,12 @@ import (
 func tracedRun(t *testing.T, p core.Protocol, cfg RunConfig) RunResult {
 	t.Helper()
 	cfg.Protocol = p
-	cfg.Trace = true
+	cfg.Trace = trace.New(0)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.EventCount() == 0 {
+	if res.Config.Trace.EventCount() == 0 {
 		t.Fatal("traced run produced no spans")
 	}
 	return res
@@ -47,12 +47,12 @@ func TestTraceLifecycleSpans(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			res := tracedRun(t, p, RunConfig{
-				Query: "q1", Workers: 2, Rate: 3000,
-				Duration:           time.Second,
-				CheckpointInterval: 100 * time.Millisecond,
-				Seed:               11,
+				Config: core.Config{
+					Workers: 2, CheckpointInterval: 100 * time.Millisecond, Seed: 11,
+				},
+				Query: "q1", Rate: 3000, Duration: time.Second,
 			})
-			snaps := res.Trace.Snapshot()
+			snaps := res.Config.Trace.Snapshot()
 
 			// Every track must be a proper span tree: children nest inside
 			// parents, siblings never overlap.
@@ -114,13 +114,12 @@ func TestTraceLifecycleSpans(t *testing.T) {
 
 func TestTraceDisabledRunIsSilent(t *testing.T) {
 	res := quickRun(t, RunConfig{
-		Query: "q1", Protocol: protocol.Coordinated{}, Workers: 2, Rate: 3000,
-		Duration: 500 * time.Millisecond, CheckpointInterval: 100 * time.Millisecond,
-		Seed: 12,
+		Config: core.Config{
+			Protocol: protocol.Coordinated{}, Workers: 2,
+			CheckpointInterval: 100 * time.Millisecond, Seed: 12,
+		},
+		Query: "q1", Rate: 3000, Duration: 500 * time.Millisecond,
 	})
-	if res.Trace != nil {
-		t.Fatal("untraced run carries a tracer")
-	}
 	if len(res.Summary.RoundPhases) != 0 {
 		t.Fatalf("untraced run has phase stats: %v", res.Summary.RoundPhases)
 	}
@@ -130,19 +129,19 @@ func TestTraceDisabledRunIsSilent(t *testing.T) {
 
 func TestTraceRecoveryPhases(t *testing.T) {
 	res := tracedRun(t, protocol.Coordinated{}, RunConfig{
-		Query: "q3", Workers: 2, Rate: 4000,
-		Duration:           1500 * time.Millisecond,
-		FailureAt:          500 * time.Millisecond,
-		CheckpointInterval: 100 * time.Millisecond,
-		Seed:               13,
+		Config: core.Config{
+			Workers: 2, CheckpointInterval: 100 * time.Millisecond, Seed: 13,
+		},
+		Query: "q3", Rate: 4000, Duration: 1500 * time.Millisecond,
+		FailureAt: 500 * time.Millisecond,
 	})
 	if res.Summary.Failures != 1 {
 		t.Fatalf("failures = %d", res.Summary.Failures)
 	}
 	var rec *trace.TrackSnapshot
-	for i, ts := range res.Trace.Snapshot() {
+	for i, ts := range res.Config.Trace.Snapshot() {
 		if ts.Name == "recovery" {
-			rec = &res.Trace.Snapshot()[i]
+			rec = &res.Config.Trace.Snapshot()[i]
 			break
 		}
 	}
@@ -167,13 +166,13 @@ func TestTraceRecoveryPhases(t *testing.T) {
 
 func TestTraceChromeExportFromRun(t *testing.T) {
 	res := tracedRun(t, protocol.Uncoordinated{}, RunConfig{
-		Query: "q1", Workers: 2, Rate: 3000,
-		Duration:           800 * time.Millisecond,
-		CheckpointInterval: 100 * time.Millisecond,
-		Seed:               14,
+		Config: core.Config{
+			Workers: 2, CheckpointInterval: 100 * time.Millisecond, Seed: 14,
+		},
+		Query: "q1", Rate: 3000, Duration: 800 * time.Millisecond,
 	})
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := res.Trace.WriteChromeFile(path); err != nil {
+	if err := res.Config.Trace.WriteChromeFile(path); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := trace.ValidateChromeFile(path)
@@ -196,11 +195,10 @@ func TestTraceChromeExportFromRun(t *testing.T) {
 
 func TestTraceHTTPEndpoint(t *testing.T) {
 	res := tracedRun(t, protocol.Coordinated{}, RunConfig{
-		Query: "q1", Workers: 2, Rate: 3000,
-		Duration:           500 * time.Millisecond,
-		CheckpointInterval: 100 * time.Millisecond,
-		HTTPAddr:           "127.0.0.1:0",
-		Seed:               15,
+		Config: core.Config{
+			Workers: 2, CheckpointInterval: 100 * time.Millisecond, Seed: 15,
+		},
+		Query: "q1", Rate: 3000, Duration: 500 * time.Millisecond, HTTPAddr: "127.0.0.1:0",
 	})
 	// The server is closed when Run returns; the bound address proves the
 	// listener came up (":0" resolved to a real port).
