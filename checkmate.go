@@ -24,9 +24,8 @@
 //     §II-A as an engine knob (Semantics), exactly-once output via
 //     transactional sinks (OutputTransactional), event-time watermarks
 //     (WatermarkHandler), checkpoint trigger policies for the
-//     uncoordinated family (UNCWithPolicy), straggler injection,
-//     checkpoint garbage collection and compression, and savepoint-based
-//     rescaling (Savepoint, Rescalable).
+//     uncoordinated family (UNCWithPolicy), straggler injection, and
+//     checkpoint garbage collection and compression.
 //
 // # Quickstart
 //
@@ -134,15 +133,6 @@ type (
 	OutputRecord = core.OutputRecord
 	// OutputStats summarizes output-collector accounting.
 	OutputStats = core.OutputStats
-	// Savepoint is a parallelism-independent image of a drained pipeline
-	// (stop-with-savepoint): a new engine can resume from it with a
-	// different worker count.
-	Savepoint = core.Savepoint
-	// Rescalable is implemented by operators whose keyed state can be
-	// redistributed when restoring a savepoint at a new parallelism.
-	Rescalable = core.Rescalable
-	// KeyedEntry is one exported keyed-state entry of a savepoint.
-	KeyedEntry = core.KeyedEntry
 )
 
 // Cluster topology: worker placement, failure domains, local recovery.
@@ -180,8 +170,6 @@ const (
 	// PlacementColocate hosts all instances of one operator on a single
 	// hashed worker.
 	PlacementColocate = cluster.PolicyColocate
-	// PlacementExplicit uses ClusterConfig.Assignment.
-	PlacementExplicit = cluster.PolicyExplicit
 )
 
 // Failure domains (FailurePlan.Domain).
@@ -282,7 +270,7 @@ type (
 	Suite = harness.Suite
 	// ChaosPlan is the deterministic fault-injection plan of a run:
 	// windowed store brownouts/outages/latency spikes, WAL fsync stalls
-	// and exchange delay/jitter (RunConfig.ChaosPlan).
+	// and exchange jitter (RunConfig.ChaosPlan).
 	ChaosPlan = chaos.Plan
 	// ChaosWindow is one fault window of a ChaosPlan, offset from engine
 	// start.

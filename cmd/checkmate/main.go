@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"checkmate"
+	"checkmate/internal/cluster"
 	"checkmate/internal/wal"
 )
 
@@ -78,7 +79,7 @@ func bindFlags(fs *flag.FlagSet, cfg *checkmate.RunConfig) *cliFlags {
 	fs.StringVar(&c.benchScenarios, "bench-scenarios", "", "run the hostile-scenario matrix (scenario x COOR/UNC/CIC) and write machine-readable results to this file")
 
 	fs.IntVar(&cfg.Cluster.Workers, "cluster", 0, "cluster worker count instances are placed on (0 = -workers)")
-	fs.StringVar((*string)(&cfg.Cluster.Policy), "placement", "", "placement policy: spread (default), round-robin, colocate")
+	bindParsed(fs, &cfg.Cluster.Policy, "placement", "", cluster.ParsePolicy, "placement policy: spread (default), round-robin, colocate")
 	fs.IntVar(&cfg.FailWorker, "fail-worker", 0, "cluster worker killed at -failure-at (first worker of rack/rolling/flapping domains)")
 	fs.StringVar(&cfg.FailDomain, "fail-domain", "", "failure domain at -failure-at: worker (default), rack, rolling, flapping")
 	fs.IntVar(&cfg.FailRackSize, "rack-size", 0, "blast radius of rack/rolling failure domains (default 2)")

@@ -172,6 +172,7 @@ func TestBadFlagValuesRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-protocol", "XYZ"}, {"-semantics", "twice"}, {"-output", "sometimes"},
 		{"-spill-max-mb", "lots"}, {"-wal-sync", "sometimes"},
+		{"-placement", "bogus"}, {"-placement", "explicit"},
 	} {
 		var cfg checkmate.RunConfig
 		fs := flag.NewFlagSet("checkmate", flag.ContinueOnError)

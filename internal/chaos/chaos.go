@@ -1,8 +1,8 @@
 // Package chaos is the deterministic fault plane of the engine: a seeded
 // schedule of hostile conditions (object-store brownouts and outages,
-// latency spikes, WAL fsync stalls, exchange delay/jitter) plus the shared
-// retry policy (exponential backoff, jitter, per-op deadline, retry budget)
-// that every store-facing operation runs under.
+// latency spikes, WAL fsync stalls, exchange jitter) plus the shared retry
+// policy (bounded exponential backoff with jitter) that every store-facing
+// operation runs under.
 //
 // The package composes over existing seams rather than adding new ones: an
 // Injector plugs into objstore.Config.Fault, wal.Options.FsyncDelay and the
@@ -54,27 +54,28 @@ type Plan struct {
 	// Outage windows fail every store operation — a total store outage.
 	Outage []Window
 
-	// LatencySpike windows add SpikeLatency to every store operation.
+	// LatencySpike windows add spikeLatency to every store operation.
 	LatencySpike []Window
-	SpikeLatency time.Duration // default 25ms
 
 	// FsyncStall windows add StallDuration to every WAL fsync.
 	FsyncStall    []Window
 	StallDuration time.Duration // default 5ms
 
-	// ExchangeDelay (+- ExchangeJitter) is added to every data-plane
-	// batch handoff between operator instances, modelling a slow or
+	// ExchangeJitter bounds a uniform random delay added to every
+	// data-plane batch handoff between operator instances, modelling a
 	// jittery network for the whole run (not windowed: exchange delay
 	// shifts steady-state behaviour, which is what the straggler/skew
 	// scenarios measure).
-	ExchangeDelay  time.Duration
 	ExchangeJitter time.Duration
 }
+
+// spikeLatency is the delay a LatencySpike window adds to a store op.
+const spikeLatency = 25 * time.Millisecond
 
 // Empty reports whether the plan injects nothing at all.
 func (p Plan) Empty() bool {
 	return len(p.Brownout) == 0 && len(p.Outage) == 0 && len(p.LatencySpike) == 0 &&
-		len(p.FsyncStall) == 0 && p.ExchangeDelay == 0 && p.ExchangeJitter == 0
+		len(p.FsyncStall) == 0 && p.ExchangeJitter == 0
 }
 
 // ErrInjected marks failures manufactured by the chaos plane, so tests and
@@ -110,9 +111,6 @@ func NewInjector(p Plan) *Injector {
 	}
 	if p.BrownoutRate <= 0 {
 		p.BrownoutRate = 0.5
-	}
-	if p.SpikeLatency <= 0 {
-		p.SpikeLatency = 25 * time.Millisecond
 	}
 	if p.StallDuration <= 0 {
 		p.StallDuration = 5 * time.Millisecond
@@ -159,7 +157,7 @@ func (in *Injector) StoreOp(op string, n int) (time.Duration, error) {
 	elapsed := in.elapsed()
 	var delay time.Duration
 	if anyContains(in.plan.LatencySpike, elapsed) {
-		delay = in.plan.SpikeLatency
+		delay = spikeLatency
 		in.storeSpikes.Add(1)
 	}
 	if anyContains(in.plan.Outage, elapsed) {
@@ -195,18 +193,16 @@ func (in *Injector) FsyncDelay() time.Duration {
 	return 0
 }
 
-// ExchangeDelay returns the per-batch exchange delay (fixed + jitter).
-// Nil-safe; zero when the plan has no exchange shaping.
+// ExchangeDelay returns the per-batch exchange delay, uniform in
+// [0, ExchangeJitter]. Nil-safe; zero when the plan has no exchange
+// shaping.
 func (in *Injector) ExchangeDelay() time.Duration {
-	if in == nil || (in.plan.ExchangeDelay == 0 && in.plan.ExchangeJitter == 0) {
+	if in == nil || in.plan.ExchangeJitter == 0 {
 		return 0
 	}
-	d := in.plan.ExchangeDelay
-	if j := in.plan.ExchangeJitter; j > 0 {
-		in.mu.Lock()
-		d += time.Duration(in.rng.Int63n(int64(j) + 1))
-		in.mu.Unlock()
-	}
+	in.mu.Lock()
+	d := time.Duration(in.rng.Int63n(int64(in.plan.ExchangeJitter) + 1))
+	in.mu.Unlock()
 	return d
 }
 
@@ -230,18 +226,16 @@ func (in *Injector) Stats() InjectorStats {
 type RetryCounters struct {
 	Attempts     atomic.Uint64 // every f() invocation, first tries included
 	Retries      atomic.Uint64 // re-invocations after a failure
-	Exhausted    atomic.Uint64 // operations that gave up (attempts/deadline)
-	BudgetDenied atomic.Uint64 // retries suppressed by the retry budget
+	Exhausted    atomic.Uint64 // operations that gave up after maxAttempts
 	BackoffNanos atomic.Uint64 // total time spent sleeping in backoff
 }
 
 // RetryStats is a plain-value snapshot of RetryCounters.
 type RetryStats struct {
-	Attempts     uint64
-	Retries      uint64
-	Exhausted    uint64
-	BudgetDenied uint64
-	Backoff      time.Duration
+	Attempts  uint64
+	Retries   uint64
+	Exhausted uint64
+	Backoff   time.Duration
 }
 
 // Snapshot returns the current counter values. Nil-safe.
@@ -250,73 +244,27 @@ func (c *RetryCounters) Snapshot() RetryStats {
 		return RetryStats{}
 	}
 	return RetryStats{
-		Attempts:     c.Attempts.Load(),
-		Retries:      c.Retries.Load(),
-		Exhausted:    c.Exhausted.Load(),
-		BudgetDenied: c.BudgetDenied.Load(),
-		Backoff:      time.Duration(c.BackoffNanos.Load()),
+		Attempts:  c.Attempts.Load(),
+		Retries:   c.Retries.Load(),
+		Exhausted: c.Exhausted.Load(),
+		Backoff:   time.Duration(c.BackoffNanos.Load()),
 	}
 }
 
-// Budget is a token-bucket retry budget shared across operations: each
-// retry (not first attempt) spends one token; an empty bucket fails the
-// operation immediately instead of hammering a store that is already down.
-// Nil-safe: a nil budget always allows.
-type Budget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	refill float64 // tokens per second
-	last   time.Time
-}
-
-// NewBudget returns a bucket holding max tokens, refilling at refillPerSec.
-func NewBudget(max, refillPerSec float64) *Budget {
-	return &Budget{tokens: max, max: max, refill: refillPerSec, last: time.Now()}
-}
-
-func (b *Budget) allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	if b.refill > 0 && !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.refill
-		if b.tokens > b.max {
-			b.tokens = b.max
-		}
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// The retry defaults a zero RetryPolicy field takes on first use.
+// The retry schedule: maxAttempts tries, the first backoff baseDelay, each
+// next one multiplier times longer, every sleep scaled by a random factor
+// in [1-jitter, 1+jitter].
 const (
-	defaultMaxAttempts = 4
-	defaultBaseDelay   = time.Millisecond
-	defaultMaxDelay    = 100 * time.Millisecond
-	defaultMultiplier  = 2
-	defaultJitter      = 0.5
+	maxAttempts = 4
+	baseDelay   = time.Millisecond
+	multiplier  = 2
+	jitter      = 0.5
 )
 
 // RetryPolicy runs operations with bounded exponential backoff. The zero
-// value (and a nil pointer) is usable: nil means "one attempt, no retry";
-// a zero-value policy gets the default* values above on first use.
+// value is usable; a nil pointer means "one attempt, no retry".
 type RetryPolicy struct {
-	MaxAttempts int
-	BaseDelay   time.Duration
-	MaxDelay    time.Duration
-	Multiplier  float64
-	Jitter      float64       // +-fraction of each delay
-	OpDeadline  time.Duration // overall wall-clock cap per Do call; 0 = none
-	Budget      *Budget       // optional shared retry budget
-	Counters    *RetryCounters
+	Counters *RetryCounters
 	// OnBackoff observes each backoff sleep (op name, attempt number just
 	// failed, sleep duration) — the engine hooks trace spans here.
 	OnBackoff func(op string, attempt int, d time.Duration)
@@ -330,21 +278,6 @@ type RetryPolicy struct {
 }
 
 func (p *RetryPolicy) init() {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = defaultMaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = defaultBaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = defaultMaxDelay
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = defaultMultiplier
-	}
-	if p.Jitter <= 0 || p.Jitter > 1 {
-		p.Jitter = defaultJitter
-	}
 	seed := p.Seed
 	if seed == 0 {
 		seed = 1
@@ -355,32 +288,24 @@ func (p *RetryPolicy) init() {
 	}
 }
 
-// jittered returns d scaled by a random factor in [1-Jitter, 1+Jitter].
+// jittered returns d scaled by a random factor in [1-jitter, 1+jitter].
 func (p *RetryPolicy) jittered(d time.Duration) time.Duration {
 	p.mu.Lock()
-	f := 1 - p.Jitter + 2*p.Jitter*p.rng.Float64()
+	f := 1 - jitter + 2*jitter*p.rng.Float64()
 	p.mu.Unlock()
-	j := time.Duration(float64(d) * f)
-	if j < 0 {
-		j = 0
-	}
-	return j
+	return time.Duration(float64(d) * f)
 }
 
 // Do runs f under the policy, retrying transient failures with exponential
-// backoff until success, attempt exhaustion, deadline expiry or budget
-// denial. op names the operation in errors, counters and backoff callbacks
-// (e.g. "ckpt.put"). A nil policy runs f exactly once.
+// backoff until success or maxAttempts. op names the operation in errors,
+// counters and backoff callbacks (e.g. "ckpt.put"). A nil policy runs f
+// exactly once.
 func (p *RetryPolicy) Do(op string, f func() error) error {
 	if p == nil {
 		return f()
 	}
 	p.initOnce.Do(p.init)
-	var deadline time.Time
-	if p.OpDeadline > 0 {
-		deadline = time.Now().Add(p.OpDeadline)
-	}
-	delay := p.BaseDelay
+	delay := baseDelay
 	var err error
 	for attempt := 1; ; attempt++ {
 		if p.Counters != nil {
@@ -389,24 +314,11 @@ func (p *RetryPolicy) Do(op string, f func() error) error {
 		if err = f(); err == nil {
 			return nil
 		}
-		if attempt >= p.MaxAttempts {
+		if attempt >= maxAttempts {
 			if p.Counters != nil {
 				p.Counters.Exhausted.Add(1)
 			}
 			return fmt.Errorf("chaos: %s failed after %d attempts: %w", op, attempt, err)
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			if p.Counters != nil {
-				p.Counters.Exhausted.Add(1)
-			}
-			return fmt.Errorf("chaos: %s deadline (%v) exceeded after %d attempts: %w", op, p.OpDeadline, attempt, err)
-		}
-		if !p.Budget.allow() {
-			if p.Counters != nil {
-				p.Counters.BudgetDenied.Add(1)
-				p.Counters.Exhausted.Add(1)
-			}
-			return fmt.Errorf("chaos: %s retry budget exhausted after %d attempts: %w", op, attempt, err)
 		}
 		d := p.jittered(delay)
 		if p.OnBackoff != nil {
@@ -417,9 +329,6 @@ func (p *RetryPolicy) Do(op string, f func() error) error {
 			p.Counters.BackoffNanos.Add(uint64(d))
 		}
 		p.Sleep(d)
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
+		delay *= multiplier
 	}
 }

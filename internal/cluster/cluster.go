@@ -42,8 +42,6 @@ const (
 	// the largest per-operator failure domain, and the cheapest network
 	// layout for operator-internal exchange.
 	PolicyColocate Policy = "colocate"
-	// PolicyExplicit uses a caller-supplied instance→worker assignment.
-	PolicyExplicit Policy = "explicit"
 )
 
 // ParsePolicy resolves a policy by name ("" selects PolicySpread).
@@ -55,10 +53,8 @@ func ParsePolicy(name string) (Policy, error) {
 		return PolicyRoundRobin, nil
 	case PolicyColocate:
 		return PolicyColocate, nil
-	case PolicyExplicit:
-		return PolicyExplicit, nil
 	default:
-		return "", fmt.Errorf("cluster: unknown placement policy %q (want spread, round-robin, colocate or explicit)", name)
+		return "", fmt.Errorf("cluster: unknown placement policy %q (want spread, round-robin or colocate)", name)
 	}
 }
 
@@ -70,11 +66,6 @@ type Config struct {
 	Workers int
 	// Policy selects the placement policy ("" = PolicySpread).
 	Policy Policy
-	// Assignment is the explicit instance→worker map consumed by
-	// PolicyExplicit: Assignment[gid] is the hosting worker of global
-	// instance gid (instances numbered operator by operator, index by
-	// index). Ignored by the other policies.
-	Assignment []int
 	// LocalCache enables the worker-local state cache: checkpoint blobs
 	// uploaded (or fetched during a recovery) by an instance stay cached
 	// in its hosting worker's memory, so instances recovering on a
@@ -133,9 +124,6 @@ func New(cfg Config, defaultWorkers int, ops []OpInfo) (*Topology, error) {
 		total += op.Parallelism
 	}
 	t.host = make([]int, total)
-	if policy == PolicyExplicit && len(cfg.Assignment) != total {
-		return nil, fmt.Errorf("cluster: explicit assignment covers %d instances, job has %d", len(cfg.Assignment), total)
-	}
 	for op, info := range ops {
 		for idx := 0; idx < info.Parallelism; idx++ {
 			gid := t.base[op] + idx
@@ -147,11 +135,6 @@ func New(cfg Config, defaultWorkers int, ops []OpInfo) (*Topology, error) {
 				w = gid % n
 			case PolicyColocate:
 				w = hashName(info.Name) % n
-			case PolicyExplicit:
-				w = cfg.Assignment[gid]
-				if w < 0 || w >= n {
-					return nil, fmt.Errorf("cluster: assignment places instance %d on worker %d, cluster has %d workers", gid, w, n)
-				}
 			}
 			t.host[gid] = w
 			t.onWorker[w] = append(t.onWorker[w], gid)

@@ -64,27 +64,11 @@ func TestColocatePlacement(t *testing.T) {
 	}
 }
 
-func TestExplicitPlacement(t *testing.T) {
-	assign := []int{2, 2, 2, 1, 1, 1, 0, 0}
-	topo := mustTopo(t, Config{Policy: PolicyExplicit, Assignment: assign})
-	for gid, want := range assign {
-		if got := topo.WorkerOf(gid); got != want {
-			t.Errorf("WorkerOf(%d) = %d, want %d", gid, got, want)
-		}
-	}
-	if _, err := New(Config{Policy: PolicyExplicit, Assignment: assign[:3]}, 3, testOps); err == nil {
-		t.Error("short assignment accepted")
-	}
-	bad := append([]int(nil), assign...)
-	bad[0] = 7
-	if _, err := New(Config{Policy: PolicyExplicit, Assignment: bad}, 3, testOps); err == nil {
-		t.Error("out-of-range assignment accepted")
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
-	if _, err := ParsePolicy("ring"); err == nil {
-		t.Error("unknown policy accepted")
+	for _, name := range []string{"ring", "explicit"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("unknown policy %q accepted", name)
+		}
 	}
 	if p, err := ParsePolicy(""); err != nil || p != PolicySpread {
 		t.Errorf("empty policy: %v, %v", p, err)

@@ -26,9 +26,8 @@ import (
 // key, so recovery and GC never see it.
 const chaosProbeKey = "chaos/probe"
 
-// buildRetryPolicy constructs the engine's shared store retry policy with
-// the chaos package defaults (4 attempts, backoff doubling from 1ms to a
-// 100ms cap, +-50% jitter, no deadline or budget), wiring counters and
+// buildRetryPolicy constructs the engine's shared store retry policy (4
+// attempts, backoff doubling from 1ms, +-50% jitter), wiring counters and
 // per-backoff trace spans.
 func (e *Engine) buildRetryPolicy() *chaos.RetryPolicy {
 	p := &chaos.RetryPolicy{
@@ -118,9 +117,6 @@ func (e *Engine) probeStoreLoop() {
 		}
 	}
 }
-
-// Degraded reports whether the engine is currently in degraded mode.
-func (e *Engine) Degraded() bool { return e.degraded.Load() }
 
 // ChaosStats is the engine's robustness accounting: retry/backoff
 // counters, injected-fault counters, watchdog round abandonments and the

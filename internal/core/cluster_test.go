@@ -270,8 +270,9 @@ func TestClusterFailureShapes(t *testing.T) {
 func TestFailureOfEmptyWorkerIsNoOp(t *testing.T) {
 	env, job := buildEnv(t, 2, 500, 1e7)
 	cfg := env.config(nullProto{KindCoordinated, "COOR"})
-	// Pin everything onto workers 0 and 1 of a 3-worker cluster.
-	cfg.Cluster = cluster.Config{Workers: 3, Policy: cluster.PolicyExplicit, Assignment: []int{0, 1, 0, 1, 0, 1}}
+	// Spread placement at parallelism 2 over a 3-worker cluster puts
+	// instance idx on worker idx, so worker 2 hosts nothing.
+	cfg.Cluster = cluster.Config{Workers: 3}
 	eng, err := NewEngine(cfg, job)
 	if err != nil {
 		t.Fatal(err)

@@ -134,120 +134,6 @@ func TestDeltaCheckpointAccounting(t *testing.T) {
 	}
 }
 
-// cumTally emits the per-key cumulative count held in the keyed backend,
-// making the backend contents observable at the sink.
-type cumTally struct {
-	scratch *wire.Encoder
-}
-
-func newCumTally() *cumTally { return &cumTally{scratch: wire.NewEncoder(nil)} }
-
-func (*cumTally) UsesKeyedState() {}
-
-func (c *cumTally) OnEvent(ctx Context, ev Event) {
-	kv := ctx.KeyedState()
-	var count uint64
-	if b, ok := kv.Get(ev.Key); ok {
-		count = wire.NewDecoder(b).Uvarint()
-	}
-	count++
-	c.scratch.Reset()
-	c.scratch.Uvarint(count)
-	kv.Put(ev.Key, c.scratch.Bytes())
-	ctx.Emit(ev.Key, &intVal{N: count})
-}
-
-func (c *cumTally) Snapshot(enc *wire.Encoder)      {}
-func (c *cumTally) Restore(dec *wire.Decoder) error { return nil }
-
-// TestSavepointCarriesKeyedBackend savepoints a drained pipeline whose
-// middle operator keeps state in the keyed backend, resumes from the
-// savepoint, and feeds the same keys again: the cumulative counts must
-// continue from the savepointed backend contents, not restart at zero.
-func TestSavepointCarriesKeyedBackend(t *testing.T) {
-	const keys = 1000
-	env := newSPEnv(t, 2)
-	buildJob := func(sinks []*keyedSum) *JobSpec {
-		return &JobSpec{
-			Name: "sp-keyed",
-			Ops: []OpSpec{
-				{Name: "src", Source: &SourceSpec{Topic: "nums"}, Parallelism: env.partitions},
-				{Name: "tally", New: func(int) Operator { return newCumTally() }},
-				{Name: "sink", Sink: true, New: func(idx int) Operator {
-					s := newKeyedSum()
-					sinks[idx] = s
-					return s
-				}},
-			},
-			Edges: []EdgeSpec{
-				{From: 0, To: 1, Part: Hash},
-				{From: 1, To: 2, Part: Hash},
-			},
-		}
-	}
-	feedKeys := func() {
-		perPart := keys / env.partitions
-		for p := 0; p < env.partitions; p++ {
-			for i := 0; i < perPart; i++ {
-				sched := int64(float64(i) / 30000 * float64(time.Second))
-				env.topic.Partition(p).Append(sched, uint64(p*perPart+i), &intVal{N: 1})
-			}
-		}
-	}
-	runPhase := func(sp *Savepoint) (*Engine, []*keyedSum) {
-		sinks := make([]*keyedSum, 2)
-		cfg := env.config(2)
-		eng, err := NewEngine(cfg, buildJob(sinks))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp != nil {
-			if err := eng.ApplySavepoint(sp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
-		limit := time.Now().Add(15 * time.Second)
-		var last uint64
-		stable := time.Now()
-		for time.Now().Before(limit) {
-			if n := cfg.Recorder.SinkCount(); n != last {
-				last = n
-				stable = time.Now()
-			}
-			if eng.SourceBacklog() == 0 && time.Since(stable) > 200*time.Millisecond {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		eng.Stop()
-		return eng, sinks
-	}
-
-	feedKeys()
-	eng1, _ := runPhase(nil)
-	sp, err := eng1.ExportSavepoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedKeys()
-	_, sinks := runPhase(sp)
-	sums, total := mergeSums(sinks)
-	// Each key was counted once per phase: the sink saw 1 in phase one
-	// (restored via the savepoint) and 2 in phase two — 3 in total iff the
-	// backend contents survived the savepoint round-trip.
-	if want := uint64(keys * 3); total != want {
-		t.Fatalf("total = %d, want %d (keyed backend lost across savepoint?)", total, want)
-	}
-	for k, v := range sums {
-		if v != 3 {
-			t.Fatalf("key %d sum = %d, want 3", k, v)
-		}
-	}
-}
-
 // TestChainRestoreRejectsBadComposition verifies the seq validation the
 // restore path relies on: a missing, reordered, or base-less delta chain
 // must fail to compose instead of silently corrupting state.

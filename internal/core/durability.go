@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"checkmate/internal/msglog"
 	"checkmate/internal/recovery"
@@ -46,8 +45,6 @@ type DurabilityConfig struct {
 	WALDir string
 	// Sync selects the WAL sync policy. Default wal.SyncGroup.
 	Sync wal.SyncPolicy
-	// SyncInterval is the background fsync period for wal.SyncInterval.
-	SyncInterval time.Duration
 	// MaxSegmentBytes rotates WAL segments. Default 4 MiB.
 	MaxSegmentBytes int64
 }
@@ -69,7 +66,6 @@ func (e *Engine) openDurableLog() error {
 	dl, err := msglog.OpenDurable(d.WALDir, wal.Options{
 		MaxSegmentSize: d.MaxSegmentBytes,
 		Policy:         d.Sync,
-		Interval:       d.SyncInterval,
 		Trace:          e.cfg.Trace.NewTrack("wal", trace.PIDEngine),
 		FsyncDelay:     e.cfg.Chaos.FsyncDelay,
 	}, sliceBatchEnvelope)

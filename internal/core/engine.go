@@ -292,8 +292,6 @@ type Engine struct {
 	gen     int
 	stopped bool
 	acct    accounting
-	// savepoint, when set via ApplySavepoint, initializes the first world.
-	savepoint *Savepoint
 	// recovering guards against overlapping recoveries.
 	recovering bool
 	sinkGoal   uint64
@@ -609,11 +607,6 @@ func (e *Engine) buildWorld(line recovery.Line, blobs map[int][][]byte) (*world,
 			w.instances[gid] = it
 		}
 	}
-	if e.savepoint != nil && e.gen == 1 {
-		if err := e.applySavepointLocked(w); err != nil {
-			return nil, err
-		}
-	}
 	return w, nil
 }
 
@@ -703,7 +696,7 @@ func (e *Engine) stopWorld(w *world) {
 // files. Only safe after stopWorld (uploads drained, so no capture pins a
 // store), and only once the world's state will never be read again — the
 // recovery path closes the replaced world; the final world is closed by
-// Engine.Close, not Stop, so ExportSavepoint can still read it.
+// Engine.Close, not Stop, so its state can still be read after Stop.
 func (w *world) closeStores() {
 	for _, it := range w.instances {
 		if it.kv != nil {
@@ -1232,7 +1225,7 @@ func (e *Engine) Stop() {
 // Close releases resources that outlive Stop: the final world's
 // keyed-state backends — for spillable state, the compactor goroutines
 // and mmap'd segment files. Call once the engine's state will never be
-// read again (after any ExportSavepoint or final metrics collection).
+// read again (after any final metrics or state collection).
 // Idempotent; resident-only stores make it a no-op.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -1251,15 +1244,6 @@ func (e *Engine) Topology() *cluster.Topology { return e.topo }
 
 // WorkerOf reports the cluster worker hosting global instance gid.
 func (e *Engine) WorkerOf(gid int) int { return e.topo.WorkerOf(gid) }
-
-// CacheStats reports the worker-local state cache counters (zero value
-// when the cache is disabled).
-func (e *Engine) CacheStats() cluster.CacheStats {
-	if e.cache == nil {
-		return cluster.CacheStats{}
-	}
-	return e.cache.Stats()
-}
 
 // CheckpointMetas returns a snapshot of all checkpoint metadata reported to
 // the coordinator — the input of recovery-line and rollback-scope analysis.

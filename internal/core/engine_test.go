@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"checkmate/internal/metrics"
 	"checkmate/internal/mq"
 	"checkmate/internal/objstore"
+	"checkmate/internal/recovery"
 	"checkmate/internal/wire"
 )
 
@@ -76,35 +78,6 @@ func (k *keyedSum) Restore(dec *wire.Decoder) error {
 	}
 	k.total = dec.Uvarint()
 	return dec.Err()
-}
-
-// ExportKeyed implements Rescalable: one entry per key, payload = sum.
-func (k *keyedSum) ExportKeyed(emit func(key uint64, payload []byte)) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	var buf [8]byte
-	for key, sum := range k.sums {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(sum >> (8 * i))
-		}
-		emit(key, buf[:])
-	}
-}
-
-// ImportKeyed implements Rescalable.
-func (k *keyedSum) ImportKeyed(key uint64, payload []byte) error {
-	if len(payload) != 8 {
-		return fmt.Errorf("keyedSum: payload size %d", len(payload))
-	}
-	var sum uint64
-	for i := 0; i < 8; i++ {
-		sum |= uint64(payload[i]) << (8 * i)
-	}
-	k.mu.Lock()
-	k.sums[key] += sum
-	k.total += sum
-	k.mu.Unlock()
-	return nil
 }
 
 func (k *keyedSum) snapshotTotals() (map[uint64]uint64, uint64) {
@@ -362,6 +335,9 @@ func TestUIDDeterminism(t *testing.T) {
 	}
 }
 
+// runProtocol runs buildEnv's job under kind, optionally crashing worker 1
+// mid-run. Before the crash of a logging kind (UNC, CIC) it checks
+// FindLine against its FindLineRDG oracle on the metas reported so far.
 func runProtocol(t *testing.T, kind Kind, withFailure bool) (map[uint64]uint64, uint64, metrics.Summary) {
 	t.Helper()
 	env, job := buildEnv(t, 2, 3000, 12000)
@@ -374,12 +350,31 @@ func runProtocol(t *testing.T, kind Kind, withFailure bool) (map[uint64]uint64, 
 	}
 	if withFailure {
 		time.Sleep(120 * time.Millisecond)
+		if kind == KindUncoordinated || kind == KindCIC {
+			checkFindLineOracle(t, eng)
+		}
 		eng.InjectFailure(1)
 	}
 	waitDrained(t, eng, env, 15*time.Second)
 	eng.Stop()
 	sums, total := collectSums(eng, env.workers)
 	return sums, total, env.recorder.Summarize(kind == KindCoordinated)
+}
+
+// checkFindLineOracle fails t unless FindLine and the rollback-dependency
+// graph's FindLineRDG choose the same recovery line with the same invalid
+// count over the checkpoint metas eng has reported so far, and returns
+// FindLine's result.
+func checkFindLineOracle(t *testing.T, eng *Engine) recovery.Result {
+	t.Helper()
+	metas := eng.CheckpointMetas()
+	got := recovery.FindLine(eng.total, eng.Channels(), metas)
+	want := recovery.FindLineRDG(eng.total, eng.Channels(), metas)
+	if !reflect.DeepEqual(got.Line, want.Line) || got.Invalid != want.Invalid {
+		t.Fatalf("FindLine = %v (%d invalid), FindLineRDG = %v (%d invalid) over %d metas",
+			got.Line, got.Invalid, want.Line, want.Invalid, len(metas))
+	}
+	return got
 }
 
 func TestFailureFreeAllProtocols(t *testing.T) {

@@ -36,6 +36,11 @@ func TestPerOperatorCheckpointInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(120 * time.Millisecond)
+	// The map's faster interval leaves checkpoints orphaned by the sink's,
+	// so the FindLine oracle check compares a line with invalid entries.
+	if res := checkFindLineOracle(t, eng); res.Invalid == 0 {
+		t.Fatalf("no invalid checkpoint among %d before the failure", res.Total)
+	}
 	eng.InjectFailure(1)
 	waitDrained(t, eng, env, 15*time.Second)
 	eng.Stop()

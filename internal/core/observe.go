@@ -24,7 +24,6 @@ func (e *Engine) MetricsSnapshot() map[string]any {
 	m["store_retry_attempts"] = cs.Retry.Attempts
 	m["store_retries"] = cs.Retry.Retries
 	m["store_retry_exhausted"] = cs.Retry.Exhausted
-	m["store_retry_budget_denied"] = cs.Retry.BudgetDenied
 	m["store_retry_backoff_ms"] = float64(cs.Retry.Backoff.Microseconds()) / 1e3
 	m["rounds_abandoned"] = cs.RoundsAbandoned
 	m["degraded"] = cs.Degraded

@@ -90,7 +90,7 @@ type RunConfig struct {
 	StoreFailureRate float64
 	// ChaosPlan is the deterministic fault plan for the run: windowed
 	// store brownouts/outages/latency spikes, WAL fsync stalls and
-	// exchange delay/jitter, armed at engine start. The zero plan injects
+	// exchange jitter, armed at engine start. The zero plan injects
 	// nothing.
 	ChaosPlan chaos.Plan
 	// AnalyzeRollbackScope computes, after the run, the rollback scope of

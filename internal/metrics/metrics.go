@@ -82,9 +82,6 @@ func NewRecorder(start time.Time, horizon, bucket time.Duration) *Recorder {
 	return &Recorder{start: start, timeline: NewTimeline(horizon, bucket)}
 }
 
-// Start returns the run start time.
-func (r *Recorder) Start() time.Time { return r.start }
-
 // Timeline returns the latency timeline.
 func (r *Recorder) Timeline() *Timeline { return r.timeline }
 
@@ -115,9 +112,6 @@ func (r *Recorder) AddProtocolBytes(n int) { r.protocolBytes.Add(uint64(n)) }
 
 // PayloadBytes reports accumulated payload bytes.
 func (r *Recorder) PayloadBytes() uint64 { return r.payloadBytes.Load() }
-
-// ProtocolBytes reports accumulated protocol bytes.
-func (r *Recorder) ProtocolBytes() uint64 { return r.protocolBytes.Load() }
 
 // OverheadRatio reports (payload+protocol)/payload, the paper's Table II
 // metric. It returns 1 when no payload bytes were recorded.
@@ -638,12 +632,6 @@ func (t *Timeline) Record(since time.Duration, latency time.Duration) {
 	}
 	t.buckets[i].record(latency)
 }
-
-// BucketWidth returns the bucket width.
-func (t *Timeline) BucketWidth() time.Duration { return t.bucket }
-
-// NumBuckets returns the number of buckets.
-func (t *Timeline) NumBuckets() int { return len(t.buckets) }
 
 // TimelinePoint is the percentile summary of one bucket.
 type TimelinePoint struct {

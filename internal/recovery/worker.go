@@ -1,7 +1,5 @@
 package recovery
 
-import "sort"
-
 // WorkerScope groups a rollback scope by hosting worker: given the cluster
 // placement (workerOf maps a global instance id to its worker), it reports
 // how many in-scope instances each worker hosts. The map's size is the
@@ -15,14 +13,4 @@ func WorkerScope(scope []ScopeEntry, workerOf func(instance int) int) map[int]in
 		byWorker[workerOf(e.Instance)]++
 	}
 	return byWorker
-}
-
-// Workers returns the sorted worker ids of a WorkerScope result.
-func Workers(byWorker map[int]int) []int {
-	ws := make([]int, 0, len(byWorker))
-	for w := range byWorker {
-		ws = append(ws, w)
-	}
-	sort.Ints(ws)
-	return ws
 }

@@ -175,7 +175,7 @@ func TestSpillChainRoundTrip(t *testing.T) {
 
 // TestSpillSavepointRoundTrip exercises the portable wire-format path:
 // SnapshotFull of a spilling store restored into a resident store and
-// vice versa (the savepoint/rescale path).
+// vice versa, so wire-format blobs move between the two backends.
 func TestSpillSavepointRoundTrip(t *testing.T) {
 	ref := New()
 	sp := newSpillStore(t, 256, 16)

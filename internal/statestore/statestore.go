@@ -477,8 +477,8 @@ func (s *Store) SnapshotFull(enc *wire.Encoder) {
 	enc.Uvarint(s.seq)
 	if s.sp != nil {
 		// Wire-format full snapshot of the merged layers: the portable
-		// path (savepoints, sync snapshots) — works on any store, at the
-		// cost of a full serialization pass.
+		// path that any store can Restore, at the cost of a full
+		// serialization pass.
 		enc.Uvarint(uint64(s.count))
 		s.rangeMerged(func(k uint64, v []byte) bool {
 			enc.Uvarint(k)

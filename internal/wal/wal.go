@@ -25,7 +25,7 @@
 //   - SyncGroup: Append waits, AppendAsync does not; WaitSynced — the
 //     caller's durability barrier — demands the fsync. Between barriers
 //     the log is only written, or still staged.
-//   - SyncInterval: nobody demands; a tick every Interval makes the
+//   - SyncInterval: nobody demands; a tick every syncInterval makes the
 //     committer write and fsync what is pending, and WaitSynced waits for
 //     that tick. A crash may lose up to one interval of appends.
 //
@@ -85,9 +85,6 @@ type Options struct {
 	MaxSegmentSize int64
 	// Policy selects the sync policy. Default SyncGroup.
 	Policy SyncPolicy
-	// Interval is the background fsync period for SyncInterval.
-	// Default 5ms.
-	Interval time.Duration
 	// Trace, when non-nil, records every fsync as a span on this track:
 	// "wal.fsync" with Arg = the number of appends the fsync made durable
 	// (the group-commit batch size), plus "wal.rotate" for segment-seal
@@ -106,11 +103,11 @@ func (o Options) withDefaults() Options {
 	if o.Policy == "" {
 		o.Policy = SyncGroup
 	}
-	if o.Interval <= 0 {
-		o.Interval = 5 * time.Millisecond
-	}
 	return o
 }
+
+// syncInterval is the background fsync period under SyncInterval.
+const syncInterval = 5 * time.Millisecond
 
 // RecordType tags a WAL frame.
 type RecordType uint8
@@ -533,7 +530,7 @@ func (w *WAL) committer() {
 	defer w.wg.Done()
 	var tick <-chan time.Time
 	if w.opts.Policy == SyncInterval {
-		t := time.NewTicker(w.opts.Interval)
+		t := time.NewTicker(syncInterval)
 		defer t.Stop()
 		tick = t.C
 	}

@@ -28,7 +28,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup, SyncInterval} {
 		t.Run(string(policy), func(t *testing.T) {
 			dir := t.TempDir()
-			w, recs := openT(t, dir, Options{Policy: policy, Interval: time.Millisecond})
+			w, recs := openT(t, dir, Options{Policy: policy})
 			if len(recs) != 0 {
 				t.Fatalf("fresh dir recovered %d records", len(recs))
 			}
