@@ -76,3 +76,56 @@ func TestDeltaCheckpointingSurvivesFailure(t *testing.T) {
 		t.Fatal("no delta segments written")
 	}
 }
+
+// TestQ3SkewExactlyOnce runs q3's skew regime — 10 % hot auctions, delta
+// checkpoints, one worker failure — under COOR and UNC with transactional
+// output, and requires the output and the final keyed state to match a
+// checkpoint-free run on the same input exactly. The input stays under
+// 8,012 events, so the hot seller (person 2003, one person per four
+// events) never arrives and its pending-auction list only grows: the list
+// is appended to across a base+delta chain and rebuilt from it by the
+// restore, and only the state comparison sees it.
+func TestQ3SkewExactlyOnce(t *testing.T) {
+	input := RunConfig{
+		Config:   core.Config{Workers: 2, Seed: 5},
+		Query:    "q3",
+		Rate:     5000,
+		Duration: 1500 * time.Millisecond, // 7,500 events
+		HotRatio: 0.1,
+	}
+	oracle := input
+	oracle.Protocol = protocol.None{}
+	ref := quickRun(t, oracle)
+	want := ref.Summary.SinkCount
+	if want == 0 {
+		t.Fatal("checkpoint-free run produced no output")
+	}
+	for _, p := range []core.Protocol{protocol.Coordinated{}, protocol.Uncoordinated{}} {
+		t.Run(p.Name(), func(t *testing.T) {
+			cfg := input
+			cfg.Protocol = p
+			cfg.DeltaCheckpoints = true
+			cfg.CheckpointInterval = 100 * time.Millisecond
+			cfg.Output = core.OutputTransactional
+			cfg.FailureAt = 600 * time.Millisecond
+			res := quickRun(t, cfg)
+			if res.Summary.Failures != 1 {
+				t.Fatalf("failures = %d, want 1", res.Summary.Failures)
+			}
+			if res.Summary.DeltaKeyedCkpts == 0 {
+				t.Fatal("no delta keyed checkpoints taken")
+			}
+			if res.DuplicateUIDs != 0 {
+				t.Fatalf("%d results published twice", res.DuplicateUIDs)
+			}
+			if got := res.Output.Visible + res.Output.Pending; got != want {
+				t.Fatalf("output holds %d results (%d visible, %d pending), checkpoint-free run %d",
+					got, res.Output.Visible, res.Output.Pending, want)
+			}
+			if res.StateKeys != ref.StateKeys || res.StateBytes != ref.StateBytes {
+				t.Fatalf("final keyed state %d keys / %d B, checkpoint-free run %d keys / %d B",
+					res.StateKeys, res.StateBytes, ref.StateKeys, ref.StateBytes)
+			}
+		})
+	}
+}

@@ -162,6 +162,10 @@ type RunResult struct {
 	// Spill aggregates the spillable keyed-state gauges at end of run
 	// (zero unless RunConfig.StateSpill is enabled).
 	Spill statestore.SpillStats
+	// StateKeys and StateBytes total the keyed state of all instances at
+	// the end of the run: entries and value bytes.
+	StateKeys  int
+	StateBytes uint64
 	// Chaos reports the run's robustness accounting: retry/backoff
 	// counters, injected faults, watchdog round abandonments and the
 	// degraded-mode ledger.
@@ -404,6 +408,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	res.Store = store.Stats()
 	res.WAL = eng.WALStats()
 	res.Spill = eng.StateStats()
+	res.StateKeys, res.StateBytes = eng.StateKeys(), eng.StateBytes()
 	res.Chaos = eng.ChaosStats()
 	if obs != nil {
 		res.HTTPAddr = obs.Addr()

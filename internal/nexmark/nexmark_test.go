@@ -1,6 +1,7 @@
 package nexmark
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -242,6 +243,71 @@ func TestQ3JoinSnapshotRestore(t *testing.T) {
 	j2.OnEvent(ctx2, core.Event{Value: &Auction{ID: 12, Seller: 1, Category: 10}})
 	if len(ctx2.emitted) != 2 {
 		t.Fatalf("restored join lost person: %+v", ctx2.emitted)
+	}
+}
+
+// hotSellerAppends feeds n category-10 auctions for seller, none of whose
+// person has arrived, into j: each lands on the seller's pending list.
+func hotSellerAppends(j *q3Join, ctx *fakeCtx, seller uint64, next *uint64, n int) {
+	a := &Auction{Seller: seller, Category: 10}
+	ev := core.Event{Value: a}
+	for i := 0; i < n; i++ {
+		a.ID = *next
+		*next++
+		j.OnEvent(ctx, ev)
+	}
+}
+
+// TestQ3HotSellerAllocs is the allocation gate on q3's skew regime: with
+// one seller's pending list at 7,500 entries, another pending auction
+// costs at most 0.05 allocations amortized — the list is appended to, not
+// decoded and re-encoded. The person's arrival then joins every one.
+func TestQ3HotSellerAllocs(t *testing.T) {
+	const (
+		seller  = 2003
+		prefill = 7500
+		batch   = 100 // appends per measured run: AllocsPerRun floors to whole allocations
+		runs    = 20
+	)
+	j := newQ3Join()
+	ctx := &fakeCtx{}
+	next := uint64(1)
+	hotSellerAppends(j, ctx, seller, &next, prefill)
+	perRun := testing.AllocsPerRun(runs, func() { hotSellerAppends(j, ctx, seller, &next, batch) })
+	if perAppend := perRun / batch; perAppend > 0.05 {
+		t.Fatalf("pending-auction append costs %.2f allocs at a %d-entry list, want <= 0.05", perAppend, prefill)
+	}
+	j.OnEvent(ctx, core.Event{Value: &Person{ID: seller, Name: "hot", State: "OR"}})
+	if want := int(next - 1); len(ctx.emitted) != want {
+		t.Fatalf("person joined %d pending auctions, want %d", len(ctx.emitted), want)
+	}
+	for i, e := range ctx.emitted {
+		if got := e.v.(*Q3Result).Auction; got != uint64(i+1) {
+			t.Fatalf("join result %d names auction %d, want %d (arrival order)", i, got, i+1)
+		}
+	}
+	if _, ok := ctx.KeyedState().Get(q3AuctionKey(seller)); ok {
+		t.Fatal("pending list kept after the person joined it")
+	}
+}
+
+// BenchmarkQ3JoinHotSeller builds one seller's pending list of n auctions
+// from empty and reports the mean cost of one append; it stays flat in n
+// when an arrival costs O(1).
+func BenchmarkQ3JoinHotSeller(b *testing.B) {
+	for _, n := range []int{1000, 7500} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			j := newQ3Join()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ctx := &fakeCtx{kv: statestore.New()}
+				next := uint64(1)
+				b.StartTimer()
+				hotSellerAppends(j, ctx, 2003, &next, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/append")
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"checkmate/internal/core"
+	"checkmate/internal/statestore"
 	"checkmate/internal/wire"
 )
 
@@ -163,9 +164,13 @@ func (auctionFilter) Restore(dec *wire.Decoder) error { return nil }
 // person id = seller. Both sides are retained (the paper's "state grows"
 // observation for Q3) — in the engine-owned keyed state backend, so delta
 // checkpoints upload only the per-event churn instead of the ever-growing
-// join tables.
+// join tables. A seller's pending auctions are one value of concatenated
+// uvarint ids (see appendPending), so an arrival costs one keyed-state
+// Append however long the list has grown — under skew the hot seller's
+// list holds thousands of ids.
 type q3Join struct {
 	scratch *wire.Encoder
+	dec     wire.Decoder
 }
 
 func newQ3Join() *q3Join {
@@ -189,9 +194,9 @@ func (j *q3Join) OnEvent(ctx core.Context, ev core.Event) {
 		v.MarshalWire(j.scratch)
 		kv.PutOwned(q3PersonKey(v.ID), ownedCopy(j.scratch))
 		if b, ok := kv.Get(q3AuctionKey(v.ID)); ok {
-			for _, auction := range wire.NewDecoder(b).UvarintSlice() {
+			forEachPending(&j.dec, b, func(auction uint64) {
 				ctx.Emit(v.ID, &Q3Result{Name: v.Name, City: v.City, State: v.State, Auction: auction})
-			}
+			})
 			kv.Delete(q3AuctionKey(v.ID))
 		}
 	case *Auction:
@@ -204,14 +209,30 @@ func (j *q3Join) OnEvent(ctx core.Context, ev core.Event) {
 			ctx.Emit(p.ID, &Q3Result{Name: p.Name, City: p.City, State: p.State, Auction: v.ID})
 			return
 		}
-		var ids []uint64
-		if b, ok := kv.Get(q3AuctionKey(v.Seller)); ok {
-			ids = wire.NewDecoder(b).UvarintSlice()
+		appendPending(kv, j.scratch, q3AuctionKey(v.Seller), v.ID)
+	}
+}
+
+// appendPending adds auction id to the pending list under key. A list is
+// the concatenation of its ids as uvarints, with no count prefix, so an
+// arrival appends to the stored value instead of decoding and re-encoding
+// the whole list.
+func appendPending(kv *statestore.Store, scratch *wire.Encoder, key, id uint64) {
+	scratch.Reset()
+	scratch.Uvarint(id)
+	kv.Append(key, scratch.Bytes())
+}
+
+// forEachPending calls fn for every auction id of a pending list, in
+// arrival order, decoding with the caller's reused decoder.
+func forEachPending(dec *wire.Decoder, list []byte, fn func(id uint64)) {
+	dec.ResetBytes(list)
+	for dec.Remaining() > 0 {
+		id := dec.Uvarint()
+		if err := dec.Err(); err != nil {
+			panic(fmt.Sprintf("nexmark: pending-auction list corrupt: %v", err))
 		}
-		ids = append(ids, v.ID)
-		j.scratch.Reset()
-		j.scratch.UvarintSlice(ids)
-		kv.PutOwned(q3AuctionKey(v.Seller), ownedCopy(j.scratch))
+		fn(id)
 	}
 }
 
@@ -266,6 +287,7 @@ func buildQ3() *core.JobSpec {
 type q8Join struct {
 	win     int64
 	scratch *wire.Encoder
+	dec     wire.Decoder
 }
 
 func newQ8Join(win time.Duration) *q8Join {
@@ -292,9 +314,9 @@ func (j *q8Join) OnEvent(ctx core.Context, ev core.Event) {
 		// without the second copy Put would take.
 		kv.PutOwned(q8Key(widx, v.ID, 0), []byte(v.Name))
 		if b, ok := kv.Get(q8Key(widx, v.ID, 1)); ok {
-			for _, auction := range wire.NewDecoder(b).UvarintSlice() {
+			forEachPending(&j.dec, b, func(auction uint64) {
 				ctx.Emit(v.ID, &Q8Result{Person: v.ID, Name: v.Name, Auction: auction, Window: start})
-			}
+			})
 			kv.Delete(q8Key(widx, v.ID, 1))
 		}
 	case *Auction:
@@ -302,14 +324,7 @@ func (j *q8Join) OnEvent(ctx core.Context, ev core.Event) {
 			ctx.Emit(v.Seller, &Q8Result{Person: v.Seller, Name: string(name), Auction: v.ID, Window: start})
 			return
 		}
-		var ids []uint64
-		if b, ok := kv.Get(q8Key(widx, v.Seller, 1)); ok {
-			ids = wire.NewDecoder(b).UvarintSlice()
-		}
-		ids = append(ids, v.ID)
-		j.scratch.Reset()
-		j.scratch.UvarintSlice(ids)
-		kv.PutOwned(q8Key(widx, v.Seller, 1), ownedCopy(j.scratch))
+		appendPending(kv, j.scratch, q8Key(widx, v.Seller, 1), v.ID)
 	}
 	ctx.SetTimer(start + 2*j.win)
 }

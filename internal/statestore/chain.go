@@ -173,7 +173,8 @@ func Rebuild(blobs [][]byte) (*Store, error) {
 // combination. A spilling store installs segment blobs as mmap'd layers —
 // the zero-copy restore path, O(header+index) instead of O(state) — while
 // a resident store decodes them entry by entry; wire blobs take the
-// classic decode path on either.
+// classic decode path on either. Decoded values alias the blobs, as with
+// Restore, so the blobs must not be modified afterwards.
 func RebuildInto(s *Store, blobs [][]byte) error {
 	if len(blobs) == 0 {
 		return fmt.Errorf("statestore: rebuild with no blobs")
@@ -202,7 +203,7 @@ func restoreAny(s *Store, blob []byte) error {
 		if tomb {
 			return fmt.Errorf("statestore: tombstone in full segment layer (key %d)", k)
 		}
-		s.putOwned(k, append([]byte(nil), v...))
+		s.putOwned(k, s.restoredValue(v))
 		return nil
 	})
 	if err != nil {
@@ -235,7 +236,7 @@ func applyDeltaAny(s *Store, blob []byte) error {
 		if tomb {
 			s.Delete(k)
 		} else {
-			s.putOwned(k, append([]byte(nil), v...))
+			s.putOwned(k, s.restoredValue(v))
 		}
 		return nil
 	}); err != nil {

@@ -407,19 +407,27 @@ func writeSegmentFile(dir, name string, flags uint32, seq uint64, count int, dat
 	if err = os.Rename(tmp, path); err != nil {
 		return "", err
 	}
-	syncSegDir(dir)
+	if err = syncSegDir(dir); err != nil {
+		os.Remove(path)
+		return "", err
+	}
 	return path, nil
 }
 
-// syncSegDir makes a rename durable. Best-effort: some platforms cannot
-// fsync directories.
-func syncSegDir(dir string) {
+// syncSegDir makes a rename durable by fsyncing the directory holding it.
+func syncSegDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	_ = d.Sync()
-	d.Close()
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("statestore: sync segment dir: %w", err)
+	}
+	return nil
 }
 
 // appendSegmentTo appends a segment image — byte-identical to a segment

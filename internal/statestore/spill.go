@@ -368,7 +368,7 @@ func (it *overlayIter) next() (uint64, []byte, bool, bool) {
 			k := it.live[it.i]
 			it.i++
 			if v, ok := it.s.m[k]; ok {
-				return k, v, false, true
+				return k, v[:len(v):len(v)], false, true
 			}
 		case it.j < len(it.tombs):
 			k := it.tombs[it.j]
@@ -558,7 +558,10 @@ func (s *Store) installSegmentBlob(blob []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncSegDir(p.cfg.Dir)
+	if err := syncSegDir(p.cfg.Dir); err != nil {
+		os.Remove(path)
+		return err
+	}
 	g, err := openSegment(path)
 	if err != nil {
 		os.Remove(path)
@@ -638,7 +641,7 @@ func (s *Store) spillRestoreWire(dec *wire.Decoder, seq uint64, n int) error {
 		if dec.Err() != nil {
 			return dec.Err()
 		}
-		cp := append([]byte(nil), v...)
+		cp := s.restoredValue(v)
 		s.m[k] = cp
 		s.added = append(s.added, k)
 		s.count++

@@ -449,3 +449,15 @@ func TestSpillCloseRemovesFiles(t *testing.T) {
 		t.Fatalf("segment file %s survived Close", e.Name())
 	}
 }
+
+// TestSyncSegDirReportsErrors checks the directory fsync behind every
+// segment rename reports failure instead of swallowing it.
+func TestSyncSegDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncSegDir(dir); err != nil {
+		t.Fatalf("syncSegDir on a live directory: %v", err)
+	}
+	if err := syncSegDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncSegDir on a missing directory returned nil")
+	}
+}

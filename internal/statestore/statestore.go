@@ -27,12 +27,24 @@
 //
 // # Ownership and capture epochs
 //
-// Values are owned by the store and never mutated in place: Put copies its
-// input, PutOwned transfers ownership of the caller's buffer, and an
-// overwrite or delete simply drops the old buffer. That is what makes the
-// copy-on-write capture shallow — a frozen view shares value buffers with
-// the live store, and concurrent mutation replaces map entries without ever
-// touching the shared bytes.
+// Values are owned by the store, and the bytes below a value's length are
+// never written once stored: Put copies its input, PutOwned transfers
+// ownership of the caller's buffer, and an overwrite or delete simply drops
+// the old buffer. Append is the one operation that writes into a stored
+// buffer, and only past its length, into spare capacity the store itself
+// allocated: PutOwned stores its input capped at its length, and Get and
+// Range hand out capped slices, so no buffer a caller or another value can
+// reach is ever extended. That is what makes the copy-on-write capture
+// shallow — a frozen view shares value buffers (each as a slice of the
+// value's length at capture time) with the live store, and concurrent
+// mutation replaces map entries or appends past every captured length
+// without ever touching the shared bytes.
+//
+// Restore, ApplyDelta and RebuildInto take snapshot bytes the same way:
+// restored values alias the snapshot, capped at their length, instead of
+// being copied one by one, so a restore allocates the key map but no value
+// buffers. The caller must not modify the snapshot bytes afterwards; the
+// store never writes them either (Append copies a capped value out).
 //
 // The flip side is an aliasing rule for readers: a slice returned by Get is
 // a borrowed reference into store-owned memory. Callers must not modify it,
@@ -130,7 +142,9 @@ func New() *Store {
 // with 0xDB when no live capture pins them, making violations of the Get
 // aliasing rule (retaining a returned slice across a capture epoch or past
 // the value's lifetime) fail deterministically. Returns the previous
-// setting.
+// setting. With poison on, restores copy values instead of aliasing the
+// snapshot, which is not the store's to scribble; enable it before
+// restoring into the store.
 func (s *Store) SetPoison(enabled bool) (prev bool) {
 	prev = s.poison
 	s.poison = enabled
@@ -204,11 +218,13 @@ func (s *Store) inMmap(b []byte) bool {
 // Get returns the value stored under key and whether it exists. The
 // returned slice is owned by the store; callers must not modify it, and
 // must not retain it across a capture epoch (see the package comment —
-// SetPoison enforces this in tests).
+// SetPoison enforces this in tests). It is capped at its length, so a
+// caller's append copies instead of writing into the store's spare
+// capacity.
 func (s *Store) Get(key uint64) ([]byte, bool) {
 	v, ok := s.m[key]
 	if ok || s.sp == nil {
-		return v, ok
+		return v[:len(v):len(v)], ok
 	}
 	// Spilling: fall through overlay → tombstones → segments newest-first.
 	// A hit returns a zero-copy subslice of the mapped segment.
@@ -223,9 +239,48 @@ func (s *Store) Put(key uint64, value []byte) {
 // PutOwned stores value under key without the defensive copy Put takes:
 // ownership of the buffer transfers to the store, and the caller must not
 // read or write it afterwards. For codec-owned buffers that are already
-// exactly sized this removes one copy per write on the record path.
+// exactly sized this removes one copy per write on the record path. The
+// value is stored capped at its length: capacity past it may belong to
+// another buffer, so Append never extends it in place.
 func (s *Store) PutOwned(key uint64, value []byte) {
-	s.putOwned(key, value)
+	s.putOwned(key, value[:len(value):len(value)])
+}
+
+// Append extends the value under key by suffix, creating the key when it
+// is absent: the same result as Put(key, append(Get(key), suffix...)), at
+// amortized O(len(suffix)) cost instead of O(len(value)). A resident value
+// grows in place into spare capacity the store allocated; bytes below its
+// old length are never written, so captures and Get results taken before
+// stay valid. When the capacity runs out the value moves to a buffer of
+// twice its length and the old buffer is retired like an overwritten one.
+// A value that lives in an mmap'd segment is copied out into the overlay;
+// mapped pages are never written.
+func (s *Store) Append(key uint64, suffix []byte) {
+	old, ok := s.m[key]
+	if ok && len(suffix) <= cap(old)-len(old) {
+		p := s.sp
+		if p != nil && len(old)+len(suffix) > segMaxValueLen {
+			panic(fmt.Sprintf("statestore: value of %d bytes exceeds the spillable backend's %d-byte limit", len(old)+len(suffix), segMaxValueLen))
+		}
+		s.m[key] = append(old, suffix...)
+		s.bytes += len(suffix)
+		s.dirty[key] = struct{}{}
+		if p != nil {
+			p.overlayBytes += len(suffix)
+			s.maybeSpill()
+		} else {
+			s.drainDeferred()
+		}
+		return
+	}
+	if !ok {
+		old, _ = s.Get(key) // absent, or mapped in a segment: read only
+	}
+	n := len(old) + len(suffix)
+	grown := make([]byte, n, 2*n)
+	copy(grown, old)
+	copy(grown[len(old):], suffix)
+	s.putOwned(key, grown)
 }
 
 func (s *Store) putOwned(key uint64, value []byte) {
@@ -377,7 +432,8 @@ func (s *Store) Range(fn func(key uint64, value []byte) bool) {
 		return
 	}
 	for _, k := range s.index() {
-		if !fn(k, s.m[k]) {
+		v := s.m[k]
+		if !fn(k, v[:len(v):len(v)]) {
 			return
 		}
 	}
@@ -541,7 +597,8 @@ func (s *Store) clearDirty() {
 // Capture is a frozen copy-on-write view of one snapshot: the keys and
 // value references as of the capture instant, plus the stamped sequence
 // number. It shares value buffers with the live store — safe because the
-// store never mutates a value in place — so taking one costs a pointer
+// store never writes below a stored value's length, and the capture reads
+// only up to the length at capture time — so taking one costs a pointer
 // gather, not a serialization pass.
 //
 // MaterializeTo may run on any goroutine, concurrently with further store
@@ -792,7 +849,19 @@ func (p *capturePairs) Swap(i, j int) {
 	}
 }
 
+// restoredValue is how a value decoded from a snapshot enters the store:
+// aliasing the snapshot bytes, capped at its length so Append copies it out
+// instead of extending it over the next entry; copied in poison mode.
+func (s *Store) restoredValue(v []byte) []byte {
+	if s.poison {
+		return append([]byte(nil), v...)
+	}
+	return v[:len(v):len(v)]
+}
+
 // Restore replaces the store contents with a full snapshot read from dec.
+// Restored values alias dec's bytes (see the package comment), so they
+// must not be modified afterwards.
 func (s *Store) Restore(dec *wire.Decoder) error {
 	kind := dec.Byte()
 	if dec.Err() != nil {
@@ -818,12 +887,12 @@ func (s *Store) Restore(dec *wire.Decoder) error {
 		if dec.Err() != nil {
 			return dec.Err()
 		}
-		cp := append([]byte(nil), v...)
-		m[k] = cp
+		v = s.restoredValue(v)
+		m[k] = v
 		// Snapshots are emitted in ascending key order, so the decoded key
 		// sequence rebuilds the sorted index directly.
 		sorted = append(sorted, k)
-		bytes += len(cp)
+		bytes += len(v)
 	}
 	s.m = m
 	s.bytes = bytes
@@ -837,7 +906,8 @@ func (s *Store) Restore(dec *wire.Decoder) error {
 
 // ApplyDelta layers a delta snapshot read from dec on top of the current
 // contents. The delta's sequence number must be exactly one past the
-// store's, guaranteeing in-order chain application.
+// store's, guaranteeing in-order chain application. Like Restore, it keeps
+// references into dec's bytes.
 func (s *Store) ApplyDelta(dec *wire.Decoder) error {
 	kind := dec.Byte()
 	if dec.Err() != nil {
@@ -863,7 +933,7 @@ func (s *Store) ApplyDelta(dec *wire.Decoder) error {
 				return dec.Err()
 			}
 			// Route through putOwned so the key index stays consistent.
-			s.putOwned(k, append([]byte(nil), v...))
+			s.putOwned(k, s.restoredValue(v))
 		} else {
 			s.Delete(k)
 		}

@@ -221,4 +221,39 @@ func BenchmarkGetPut(b *testing.B) {
 			s.Put(uint64(i%100_000), v)
 		}
 	})
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Append(uint64(i%100_000), v[:3])
+		}
+	})
+}
+
+// BenchmarkSpillGetRange measures reads that fall through the overlay to
+// mmap'd segments: point gets of spilled keys, and a full merged Range
+// reported per key.
+func BenchmarkSpillGetRange(b *testing.B) {
+	const n = 100_000
+	s, err := NewSpilling(SpillConfig{Dir: b.TempDir(), MaxOverlayEntries: n / 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	v := make([]byte, 64)
+	for i := 0; i < n; i++ {
+		s.Put(uint64(i), v)
+	}
+	b.Run("get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Get(uint64(i % n))
+		}
+	})
+	b.Run("range", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Range(func(uint64, []byte) bool { return true })
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+	})
 }
